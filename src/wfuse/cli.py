@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .growth_costs import (
     exponential_cost,
@@ -32,6 +32,9 @@ from .gate import TOLERANCE, verify_probabilities
 from .simulate import simulate_batch
 
 _FLOAT_FMT = ".17g"
+# Largest stage k that `simulate --k` and `figure4 --max-k` accept: the
+# expected cost of a run grows about 3.6x per stage.
+_MAX_K = 8
 
 
 def _cell(value) -> str:
@@ -42,30 +45,43 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _render_csv(rows: list[dict]) -> str:
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
+def _csv_lines(rows: Iterable[dict]) -> Iterator[str]:
+    header = None
     for row in rows:
-        lines.append(",".join(_cell(row[key]) for key in header))
-    return "\n".join(lines) + "\n"
+        if header is None:
+            header = list(row)
+            yield ",".join(header) + "\n"
+        yield ",".join(_cell(row[key]) for key in header) + "\n"
 
 
-def _render_json(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2) + "\n"
+def _write_rows(rows: Iterable[dict], fmt: str, out: Optional[str]) -> None:
+    """Write ``rows`` (dicts with the same keys) to ``out`` or stdout.
 
-
-def _write_rows(rows: list[dict], fmt: str, out: Optional[str]) -> None:
-    text = _render_csv(rows) if fmt == "csv" else _render_json(rows)
-    if out:
-        with open(out, "w", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    CSV is written row by row as ``rows`` yields them, so a generator of
+    rows never has the whole table in memory; JSON needs the whole list.
+    """
+    handle = open(out, "w", newline="") if out else sys.stdout
+    try:
+        if fmt == "csv":
+            handle.writelines(_csv_lines(rows))
+        else:
+            handle.write(json.dumps(list(rows), indent=2) + "\n")
+    finally:
+        if out:
+            handle.close()
 
 
 def _usage_error(message: str) -> int:
     print(f"wfuse: error: {message}", file=sys.stderr)
     return 2
+
+
+def _float_cell(value: Fraction) -> Optional[float]:
+    """``float(value)``, or ``None`` (an empty cell) beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return None
 
 
 def _rational_cells(prefix: str, value: Optional[Fraction]) -> dict:
@@ -78,7 +94,7 @@ def _rational_cells(prefix: str, value: Optional[Fraction]) -> dict:
     return {
         f"{prefix}_num": str(value.numerator),
         f"{prefix}_den": str(value.denominator),
-        f"{prefix}_float": float(value),
+        f"{prefix}_float": _float_cell(value),
     }
 
 
@@ -104,25 +120,27 @@ def _cmd_cost(args) -> int:
             )
         stages = n_max.bit_length() - 1
         pairs = [(2**level, exponential_cost(level)) for level in range(stages + 1)]
-    rows = [
+    rows = (
         {
             "N": n + 2,
             "strategy": args.strategy,
             "cost_exact_num": str(cost.numerator),
             "cost_exact_den": str(cost.denominator),
-            "cost_float": float(cost),
+            "cost_float": _float_cell(cost),
         }
         for n, cost in pairs
-    ]
+    )
     _write_rows(rows, args.format, args.out)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    if args.k < 0:
-        return _usage_error(f"--k must be >= 0, got {args.k}")
+    if not 0 <= args.k <= _MAX_K:
+        return _usage_error(f"--k must be in 0..{_MAX_K}, got {args.k}")
     if args.runs < 1:
         return _usage_error(f"--runs must be >= 1, got {args.runs}")
+    if args.workers < 1:
+        return _usage_error(f"--workers must be >= 1, got {args.workers}")
     stats = simulate_batch(args.k, args.runs, args.seed, workers=args.workers)
     rows = [
         {
@@ -139,12 +157,11 @@ def _cmd_simulate(args) -> int:
     ]
     _write_rows(rows, args.format, args.out)
     if args.dump_runs:
-        dump = [
+        dump = (
             {"run": i, "cost": cost, "final_N": size + 2}
             for i, (cost, size) in enumerate(zip(stats.costs, stats.final_sizes))
-        ]
-        with open(args.dump_runs, "w", newline="") as handle:
-            handle.write(_render_csv(dump))
+        )
+        _write_rows(dump, "csv", args.dump_runs)
     return 0
 
 
@@ -175,10 +192,12 @@ def _cmd_verify_gate(args) -> int:
 
 
 def _cmd_figure4(args) -> int:
-    if not 0 <= args.max_k <= 8:
-        return _usage_error(f"--max-k must be in 0..8, got {args.max_k}")
+    if not 0 <= args.max_k <= _MAX_K:
+        return _usage_error(f"--max-k must be in 0..{_MAX_K}, got {args.max_k}")
     if args.runs < 1:
         return _usage_error(f"--runs must be >= 1, got {args.runs}")
+    if args.workers < 1:
+        return _usage_error(f"--workers must be >= 1, got {args.workers}")
     n_max = 2**args.max_k + 1
     recycled = linear_recycled_costs(max(2, n_max))
     table = optimal_costs(n_max)

@@ -14,11 +14,31 @@ platform RNG.
 * Run ``i`` of a batch with master seed ``s`` uses an independent stream
   seeded with ``mix64(s + i)``, so batches are order- and
   parallelism-independent.
+
+Block draws.  Word j depends only on the counter ``s + (j+1)*gamma``, so
+the words can be computed in any grouping.  :func:`block53` computes the
+53-bit draws ``word >> 11`` of ``count`` consecutive words at once, with
+whole-int operations on one Python int that holds the counters in 128-bit
+lanes (lane j at bit ``128*j``).  The lanes are filled by one multiply-add,
+``s * sum(2**(128*j)) + sum((j+1)*gamma * 2**(128*j))``; each lane's sum is
+below ``(count+1) * 2**64``, so none spills into the next, and masking every
+lane to 64 bits gives the counters modulo ``2**64``.  ``mix64`` then runs
+lane-wise: after every xor-shift and every multiply each lane is masked
+back to 64 bits.  A right shift moves at most 31 bits of the next lane into
+the upper half of a lane, and a 64x64-bit product fits in 128 bits, so no
+carry or shifted bit ever reaches a neighbouring lane's low 64 bits.  The
+lanes are unpacked with ``int.to_bytes`` in the host's byte order and a
+native ``memoryview.cast("Q")``, keeping the low word of each lane.  Every
+draw is therefore bit-identical to ``next64() >> 11``.
 """
 
 from __future__ import annotations
 
-__all__ = ["MASK64", "mix64", "SplitMix64", "stream_for_run"]
+import sys
+from functools import lru_cache
+from itertools import chain
+
+__all__ = ["MASK64", "mix64", "block53", "SplitMix64", "stream_for_run"]
 
 MASK64 = (1 << 64) - 1
 
@@ -27,6 +47,16 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 _INV_2_53 = 2.0 ** -53
+
+# Stride through the 64-bit words of the lane bytes that picks each lane's
+# low word in lane order: little-endian bytes hold lane 0's low word first,
+# big-endian bytes hold it last.
+_LANE_STEP = {"little": 2, "big": -2}
+_STEP = _LANE_STEP[sys.byteorder]
+# Blocks of a stream start small, so short runs compute few unused words,
+# and double up to a cap that keeps the packed int a few kilobytes.
+_FIRST_BLOCK = 8
+_MAX_BLOCK = 256
 
 
 def mix64(x: int) -> int:
@@ -38,6 +68,52 @@ def mix64(x: int) -> int:
     x = (x * _MIX_B) & MASK64
     x ^= x >> 31
     return x
+
+
+@lru_cache(maxsize=32)
+def _lane_constants(count: int) -> tuple[int, int, int, int]:
+    """(lane repunit, packed (j+1)*gamma steps, 64-bit mask, 53-bit mask)."""
+    ones = ((1 << (128 * count)) - 1) // ((1 << 128) - 1)
+    steps = int.from_bytes(
+        b"".join(((j + 1) * _GOLDEN).to_bytes(16, "little") for j in range(count)),
+        "little",
+    )
+    return ones, steps, ones * MASK64, ones * ((1 << 53) - 1)
+
+
+def _lanes53(state: int, count: int) -> int:
+    """The draws of :func:`block53` in the low bits of 128-bit lanes."""
+    ones, steps, mask64, mask53 = _lane_constants(count)
+    x = (state * ones + steps) & mask64
+    x ^= x >> 30
+    x &= mask64
+    x *= _MIX_A
+    x &= mask64
+    x ^= x >> 27
+    x &= mask64
+    x *= _MIX_B
+    x &= mask64
+    return ((x ^ (x >> 31)) >> 11) & mask53
+
+
+def block53(state: int, count: int) -> memoryview:
+    """Draws ``next64() >> 11`` of the next ``count`` words after ``state``.
+
+    Item j is ``mix64(state + (j+1) * gamma) >> 11``: exactly what a
+    :class:`SplitMix64` whose state is ``state`` returns from its first
+    ``count`` calls of ``next64() >> 11``.  See the module docstring for
+    the lane layout.
+    """
+    lanes = _lanes53(state, count).to_bytes(16 * count, sys.byteorder)
+    return memoryview(lanes).cast("Q")[::_STEP]
+
+
+def _blocks53(state: int):
+    count = _FIRST_BLOCK
+    while True:
+        yield block53(state, count)
+        state = (state + count * _GOLDEN) & MASK64
+        count = min(2 * count, _MAX_BLOCK)
 
 
 class SplitMix64:
@@ -57,9 +133,19 @@ class SplitMix64:
         """Uniform float in [0, 1) with 53 random bits (an exact dyadic)."""
         return (self.next64() >> 11) * _INV_2_53
 
-    def spawn(self, key: int) -> "SplitMix64":
-        """Derived independent stream; used for nested substreams."""
-        return SplitMix64(mix64((self._state ^ key) & MASK64))
+    def draws53(self):
+        """Endless iterator over the draws ``next64() >> 11`` from here on.
+
+        The draws are computed ahead in blocks (:func:`block53`) and the
+        stream itself does not move: a caller that took ``count`` draws
+        calls :meth:`skip` with ``count`` to leave the stream where as many
+        ``next64()`` calls would have.
+        """
+        return chain.from_iterable(_blocks53(self._state))
+
+    def skip(self, count: int) -> None:
+        """Advance the stream by ``count`` words without computing them."""
+        self._state = (self._state + count * _GOLDEN) & MASK64
 
 
 def stream_for_run(master_seed: int, run_index: int) -> SplitMix64:

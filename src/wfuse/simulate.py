@@ -160,26 +160,18 @@ def _check_membership(sets) -> None:
             )
 
 
-def _draw53(rng):
-    """53-bit uniform integer draws, one stream word each.
+def _check_ledger(sets, cost, final, recycles, failure_loss) -> None:
+    remaining = sum(sum(s) for s in sets)
+    assert cost == remaining + final + 2 * recycles + failure_loss, (
+        "size-index ledger out of balance"
+    )
 
-    ``u = bits / 2**53``, so comparing ``bits * D < num << 53`` is the exact
-    ``u < num/D`` threshold test of
-    :func:`wfuse.fusion_model.classify_uniform`.  Streams without a raw
-    ``next64`` recover the bits from ``random()``, which is exact because
-    those values are 53-bit dyadics.
-    """
-    next64 = getattr(rng, "next64", None)
-    if next64 is not None:
-        def next53():
-            return next64() >> 11
-    else:
-        uniform = rng.random
 
-        def next53():
-            return int(uniform() * 9007199254740992.0)
-
-    return next53
+# Exact thresholds of classify_uniform(1, 1, u) on the 53-bit draw
+# u * 2**53: success below ceil(4 * 2**53 / 9), recyclable below
+# ceil(8 * 2**53 / 9), failure from there on.
+_S0_SUCCESS = ((4 << 53) + 8) // 9
+_S0_RECYCLE = ((8 << 53) + 8) // 9
 
 
 def run_similar_sizes(
@@ -201,9 +193,19 @@ def run_similar_sizes(
     ``max_steps`` bounds draws + fusion attempts; exceeding it raises
     ``RuntimeError`` and signals a bug, not an expected outcome.
 
+    Each fusion attempt takes one draw ``next64() >> 11`` from ``rng``, a
+    :class:`wfuse.rng.SplitMix64`, in stream order; the draws come from
+    :meth:`~wfuse.rng.SplitMix64.draws53`, which computes them in blocks,
+    and on return or on ``RuntimeError`` the stream has been advanced by
+    exactly the number of attempts made, as if ``next64()`` had been called
+    once per attempt.
+
     The loop below inlines the step helpers and the exact threshold
-    classification for speed; ``_run_reference`` is the straightforward
-    mirror and the test suite holds the two to identical results.
+    classification for speed, and runs the fusions in ``S_0`` in an inner
+    loop that keeps only a count of that bucket's ``w_1`` states.
+    ``_run_reference`` is the straightforward mirror on the scalar
+    ``random()`` path and the test suite holds the two to identical results
+    and identical final stream states.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -212,8 +214,8 @@ def run_similar_sizes(
     cost = 0
     attempts = successes = recycles = failures = 0
     failure_loss = 0
-    next53 = _draw53(rng)
-    while True:
+    draws = rng.draws53()
+    for u in draws:
         while len(sets[xi]) < 2:  # step 2
             if xi:
                 xi -= 1
@@ -221,22 +223,55 @@ def run_similar_sizes(
                 sets[0].append(1)
                 cost += 1
         if cost + attempts > max_steps:
+            rng.skip(attempts)
             raise RuntimeError(f"step budget {max_steps} exceeded at k={k}")
+        if not xi:
+            # Fusions in S_0 until the first success.  Only w_1 lives in
+            # S_0, and both of its non-success branches lose both operands,
+            # so the bucket is just a count c of w_1 states.
+            s0 = sets[0]
+            c = len(s0)
+            while u >= _S0_SUCCESS:
+                attempts += 1
+                if u < _S0_RECYCLE:
+                    recycles += 1
+                else:
+                    failures += 1
+                    failure_loss += 2
+                c -= 2
+                if c < 2:  # step 2 at xi = 0
+                    cost += 2 - c
+                    c = 2
+                if cost + attempts > max_steps:
+                    rng.skip(attempts)
+                    raise RuntimeError(f"step budget {max_steps} exceeded at k={k}")
+                u = next(draws)
+            attempts += 1
+            successes += 1
+            del s0[c - 2:]
+            if not k:
+                if audit:
+                    _check_ledger(sets, cost, 2, recycles, failure_loss)
+                rng.skip(attempts)
+                return RunResult(cost, 2, attempts, successes, recycles, failures)
+            sets[1].append(2)
+            xi = 1
+            if audit:
+                _check_membership(sets)
+            continue
         bucket = sets[xi]
         n = bucket.pop(0)
         m = bucket.pop(0)
         attempts += 1
-        lhs = next53() * ((n + 2) * (m + 2))
+        lhs = u * ((n + 2) * (m + 2))
         success_num = (n + m + 2) << 53
         if lhs < success_num:
             successes += 1
             if xi == k:
                 final = n + m
                 if audit:
-                    remaining = sum(sum(s) for s in sets)
-                    assert cost == remaining + final + 2 * recycles + failure_loss, (
-                        "size-index ledger out of balance"
-                    )
+                    _check_ledger(sets, cost, final, recycles, failure_loss)
+                rng.skip(attempts)
                 return RunResult(
                     cost, final, attempts, successes, recycles, failures
                 )
@@ -256,7 +291,12 @@ def run_similar_sizes(
 
 
 def _run_reference(k: int, rng, *, max_steps: int = DEFAULT_STEP_BUDGET) -> RunResult:
-    """Plain mirror of :func:`run_similar_sizes` on the shared step helpers."""
+    """Plain mirror of :func:`run_similar_sizes` on the shared step helpers.
+
+    It draws word by word through the scalar ``rng.random()`` and classifies
+    with :func:`wfuse.fusion_model.classify_uniform`, so it shares no code
+    with the kernel's block draws or its inlined thresholds.
+    """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     sets = [[] for _ in range(k + 2)]
@@ -300,19 +340,23 @@ def run_linear_strategy(
     companion is a Bell pair, discarded) and only complete failure
     restarts; the expected cost matches
     :func:`wfuse.growth_costs.linear_recycled_costs`.
+
+    Like :func:`run_similar_sizes`, each attempt takes one block draw from
+    ``rng`` and the stream ends advanced by the number of attempts.
     """
     if target < 1:
         raise ValueError(f"target index must be >= 1, got {target}")
     cost = 1  # the seed w_1
     size = 1
     attempts = successes = recycles = failures = 0
-    next53 = _draw53(rng)
+    draws = rng.draws53()
     while size < target:
         if cost + attempts > max_steps:
+            rng.skip(attempts)
             raise RuntimeError(f"step budget {max_steps} exceeded")
         cost += 1  # fresh w_1 to fuse on
         attempts += 1
-        lhs = next53() * ((size + 2) * 3)
+        lhs = next(draws) * ((size + 2) * 3)
         success_num = (size + 3) << 53
         if lhs < success_num:
             successes += 1
@@ -331,6 +375,7 @@ def run_linear_strategy(
             failures += 1
             cost += 1
             size = 1
+    rng.skip(attempts)
     return RunResult(cost, size, attempts, successes, recycles, failures)
 
 

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from wfuse.cli import main
+from wfuse.growth_costs import linear_recycled_costs
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +65,34 @@ class TestCostCommand:
         assert json_rows[-1]["cost_exact_num"] == "9"
         assert json_rows[-1]["cost_float"] == 4.5
 
+    def test_costs_beyond_float_range_keep_exact_cells(self, capsys):
+        code, out = run_cli(
+            capsys, "cost", "--strategy", "linear-recycled", "--target", "3002"
+        )
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) == 3000
+        costs = linear_recycled_costs(3000)
+        for n, row in enumerate(rows, start=1):
+            assert row["N"] == str(n + 2)
+            assert (row["cost_exact_num"], row["cost_exact_den"]) == (
+                str(costs[n].numerator),
+                str(costs[n].denominator),
+            )
+            # float(cost) overflows from N = 1033 on
+            assert (row["cost_float"] == "") == (n + 2 >= 1033)
+
+    def test_json_null_beyond_float_range(self, capsys):
+        code, out = run_cli(
+            capsys, "cost", "--strategy", "linear", "--target", "654",
+            "--format", "json",
+        )
+        assert code == 0
+        rows = json.loads(out)
+        assert rows[-2]["N"] == 653 and rows[-2]["cost_float"] > 1e308
+        assert rows[-1]["N"] == 654 and rows[-1]["cost_float"] is None
+        assert int(rows[-1]["cost_exact_num"]) > 0
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
         code, out = run_cli(
@@ -91,6 +120,21 @@ class TestSimulateCommand:
 
     def test_rejects_bad_runs(self, capsys):
         assert main(["simulate", "--k", "0", "--runs", "0", "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("k", ["-1", "9"])
+    def test_rejects_k_outside_figure4_range(self, capsys, k):
+        assert main(["simulate", "--k", k, "--runs", "1", "--seed", "1"]) == 2
+        assert "--k must be in 0..8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "figure4"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_rejects_workers_below_one(self, capsys, command, workers):
+        stage = ["--k", "0"] if command == "simulate" else ["--max-k", "0"]
+        argv = [command, *stage, "--runs", "1", "--seed", "1", "--workers", workers]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--workers must be >= 1" in captured.err
 
     def test_dump_runs(self, capsys, tmp_path):
         path = tmp_path / "runs.csv"

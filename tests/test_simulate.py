@@ -3,9 +3,21 @@ from fractions import Fraction
 
 import pytest
 
+from wfuse.fusion_model import FAILURE, RECYCLE, SUCCESS, classify_uniform
 from wfuse.growth_costs import linear_recycled_costs, w3_linear_cost
-from wfuse.rng import SplitMix64, mix64, stream_for_run
+from wfuse.rng import (
+    _GOLDEN,
+    _LANE_STEP,
+    _lanes53,
+    MASK64,
+    SplitMix64,
+    block53,
+    mix64,
+    stream_for_run,
+)
 from wfuse.simulate import (
+    _S0_RECYCLE,
+    _S0_SUCCESS,
     SimilarSizesState,
     _run_reference,
     bucket_index,
@@ -46,6 +58,56 @@ class TestRngContract:
         assert stream_for_run(40, 2).next64() == SplitMix64(mix64(42)).next64()
 
 
+def scalar_draws(seed, count):
+    stream = SplitMix64(seed)
+    return [stream.next64() >> 11 for _ in range(count)]
+
+
+# The last seed puts the 2**64 counter wrap three words into the stream.
+BLOCK_SEEDS = [0, 1, 2**63, 2**64 - 1, (-3 * _GOLDEN) & MASK64]
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("seed", BLOCK_SEEDS)
+    @pytest.mark.parametrize("count", [1, 2, 16, 1000])
+    def test_block_matches_scalar_draws(self, seed, count):
+        assert list(block53(seed, count)) == scalar_draws(seed, count)
+
+    @pytest.mark.parametrize("seed", BLOCK_SEEDS)
+    def test_iterator_crosses_block_boundaries(self, seed):
+        # 1200 draws span the growing blocks up to and past the size cap.
+        draws = SplitMix64(seed).draws53()
+        assert [next(draws) for _ in range(1200)] == scalar_draws(seed, 1200)
+
+    def test_iterator_leaves_stream_until_skip(self):
+        stream = SplitMix64(77)
+        draws = stream.draws53()
+        taken = [next(draws) for _ in range(5)]
+        assert stream._state == 77
+        stream.skip(5)
+        assert stream._state == (77 + 5 * _GOLDEN) & MASK64
+        assert stream.next64() >> 11 == scalar_draws(77, 6)[5]
+        assert taken == scalar_draws(77, 5)
+
+    @pytest.mark.parametrize("byteorder", ["little", "big"])
+    def test_lane_unpacking_on_either_byte_order(self, byteorder):
+        # Read the lane bytes as 64-bit words the way a native cast does on
+        # a host of the given byte order, then take the lanes' low words.
+        count = 37
+        raw = _lanes53(2**64 - 1, count).to_bytes(16 * count, byteorder)
+        words = [int.from_bytes(raw[i : i + 8], byteorder) for i in range(0, len(raw), 8)]
+        assert words[:: _LANE_STEP[byteorder]] == scalar_draws(2**64 - 1, count)
+
+    def test_s0_thresholds_are_the_exact_ones(self):
+        for draw, branch in (
+            (_S0_SUCCESS - 1, SUCCESS),
+            (_S0_SUCCESS, RECYCLE),
+            (_S0_RECYCLE - 1, RECYCLE),
+            (_S0_RECYCLE, FAILURE),
+        ):
+            assert classify_uniform(1, 1, draw * 2.0**-53) == branch
+
+
 class TestBuckets:
     def test_membership_rule(self):
         assert bucket_index(1) == 0
@@ -68,11 +130,28 @@ class TestBuckets:
 
 class TestSimilarSizesRuns:
     def test_fast_loop_matches_reference(self):
-        for k in range(0, 4):
-            for i in range(25):
+        for k in range(0, 7):
+            for i in range({5: 3, 6: 2}.get(k, 25)):
                 seed_stream = stream_for_run(905, i + 100 * k)
                 ref_stream = stream_for_run(905, i + 100 * k)
-                assert run_similar_sizes(k, seed_stream) == _run_reference(k, ref_stream)
+                start = seed_stream._state
+                result = run_similar_sizes(k, seed_stream)
+                assert result == _run_reference(k, ref_stream)
+                assert seed_stream._state == ref_stream._state
+                assert seed_stream._state == (start + result.fusion_attempts * _GOLDEN) & MASK64
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_step_budget_matches_reference(self, k):
+        for max_steps in range(301):
+            outcomes = []
+            for run in (run_similar_sizes, _run_reference):
+                stream = stream_for_run(6007, k)
+                try:
+                    outcome = run(k, stream, max_steps=max_steps)
+                except RuntimeError as exc:
+                    outcome = str(exc)
+                outcomes.append((outcome, stream._state))
+            assert outcomes[0] == outcomes[1], max_steps
 
     def test_k0_costs_are_two_per_attempt(self):
         for i in range(50):
@@ -92,6 +171,7 @@ class TestSimilarSizesRuns:
     def test_audit_ledger_on_larger_runs(self):
         for i in range(5):
             run_similar_sizes(5, stream_for_run(512, i), audit=True)
+        run_similar_sizes(6, stream_for_run(512, 5), audit=True)
 
     def test_step_budget_guard(self):
         with pytest.raises(RuntimeError):
@@ -210,10 +290,34 @@ class TestLinearStrategyRuns:
         assert abs(mean - expected) < 3 * math.sqrt(var / runs)
 
     def test_run_structure(self):
-        result = run_linear_strategy(5, True, stream_for_run(4, 0))
+        stream = stream_for_run(4, 0)
+        start = stream._state
+        result = run_linear_strategy(5, True, stream)
         assert result.final_size == 5
         assert result.cost >= 5
         assert result.fusion_attempts == sum(result.outcome_counts)
+        assert stream._state == (start + result.fusion_attempts * _GOLDEN) & MASK64
+
+    def test_matches_scalar_classification(self):
+        # Mirror of the linear strategy on next64() and classify_uniform.
+        for recycle in (False, True):
+            for i in range(200):
+                stream = stream_for_run(12, i)
+                cost, size, attempts = 1, 1, 0
+                while size < 6:
+                    cost += 1
+                    attempts += 1
+                    branch = classify_uniform(size, 1, stream.random())
+                    if branch == SUCCESS:
+                        size += 1
+                    elif branch == RECYCLE and recycle:
+                        size -= 1
+                        if size == 0:
+                            cost, size = cost + 1, 1
+                    else:
+                        cost, size = cost + 1, 1
+                result = run_linear_strategy(6, recycle, stream_for_run(12, i))
+                assert (result.cost, result.fusion_attempts) == (cost, attempts)
 
     def test_trivial_target(self):
         result = run_linear_strategy(1, False, SplitMix64(0))
