@@ -12,7 +12,6 @@ from .fusion_model import (
     Failure,
     FusionOutcome,
     OutcomeDistribution,
-    Rational,
     Recyclable,
     Success,
     actual_size,
@@ -61,7 +60,6 @@ __all__ = [
     "Failure",
     "FusionOutcome",
     "OutcomeDistribution",
-    "Rational",
     "Recyclable",
     "Success",
     "actual_size",

@@ -29,7 +29,7 @@ from .growth_costs import (
 )
 from .optimal import optimal_costs
 from .gate import TOLERANCE, verify_probabilities
-from .simulate import simulate_batch
+from .simulate import simulate_batch, worker_pool
 
 _FLOAT_FMT = ".17g"
 # Largest stage k that `simulate --k` and `figure4 --max-k` accept: the
@@ -202,11 +202,15 @@ def _cmd_figure4(args) -> int:
     recycled = linear_recycled_costs(max(2, n_max))
     table = optimal_costs(n_max)
     # Stage k reuses the per-run seed derivation with run indices offset by
-    # k * runs, so every (stage, run) pair has a distinct stream.
-    batches = {
-        k: simulate_batch(k, args.runs, args.seed + k * args.runs, workers=args.workers)
-        for k in range(args.max_k + 1)
-    }
+    # k * runs, so every (stage, run) pair has a distinct stream.  One pool
+    # serves every stage.
+    with worker_pool(args.workers) as pool:
+        batches = {
+            k: simulate_batch(
+                k, args.runs, args.seed + k * args.runs, workers=args.workers, pool=pool
+            )
+            for k in range(args.max_k + 1)
+        }
     mc_rows = {2**k + 3: stats for k, stats in batches.items()}
     rows = []
     for n in range(1, n_max + 1):

@@ -28,7 +28,6 @@ from fractions import Fraction
 from typing import Union
 
 __all__ = [
-    "Rational",
     "SUCCESS",
     "RECYCLE",
     "FAILURE",
@@ -46,8 +45,6 @@ __all__ = [
     "classify_uniform",
     "sample_outcome",
 ]
-
-Rational = Fraction
 
 SUCCESS = "success"
 RECYCLE = "recycle"

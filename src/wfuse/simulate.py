@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,6 +53,7 @@ __all__ = [
     "bucket_index",
     "run_similar_sizes",
     "simulate_batch",
+    "worker_pool",
     "run_linear_strategy",
     "exact_expected_cost",
 ]
@@ -405,18 +406,38 @@ def _one_run(args) -> tuple[int, int]:
     return result.cost, result.final_size
 
 
+@contextmanager
+def worker_pool(workers: int):
+    """A process pool of ``workers`` processes, or None when ``workers <= 1``.
+
+    Several :func:`simulate_batch` calls may share one pool.  The pool
+    machinery (``concurrent.futures.process`` and ``multiprocessing``) is
+    imported only here, so a 1-worker command does not pay for it.
+    """
+    if workers <= 1:
+        yield None
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield pool
+
+
 def simulate_batch(
     k: int,
     runs: int,
     master_seed: int,
     *,
     workers: int = 1,
+    pool=None,
 ) -> BatchStats:
     """Run the similar-sizes strategy ``runs`` times with derived seeds.
 
     Run ``i`` uses the stream seeded ``mix64(master_seed + i)``, so the
     per-run cost vector is a pure function of ``(k, runs, master_seed)``
-    and identical for any ``workers`` setting.
+    and identical for any ``workers`` setting.  With ``workers > 1`` the
+    runs go to ``pool`` (from :func:`worker_pool`) when one is given, and
+    to a pool started for this call otherwise.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -425,7 +446,7 @@ def simulate_batch(
         outcomes = [_one_run(a) for a in args]
     else:
         chunk = max(1, runs // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with (nullcontext(pool) if pool is not None else worker_pool(workers)) as pool:
             outcomes = list(pool.map(_one_run, args, chunksize=chunk))
     costs = [cost for cost, _ in outcomes]
     mean = statistics.fmean(costs)

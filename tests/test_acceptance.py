@@ -163,11 +163,12 @@ def test_criterion_07_monte_carlo_calibration():
 def test_criterion_08_figure4_reproduction():
     with criterion(8, "MC beats optimal DP at k=3..6; analytic ordering, N >= 11", 60.0):
         table = optimal_costs(65)
-        # The binding case is k=3: population mean 259.1, SE(1000) = 6.0,
-        # against an optimal cost of 284.7, so the stated inequality holds
-        # at the population level; a 1000-run sample clears it for ~7 of 8
-        # seeds.  The pinned seed draws a typical k=3 sample (260.5, within
-        # 0.25 sigma of the population mean), not a flattering one.
+        # The binding case is k=3: population mean 26316/101 = 260.554
+        # (exact absorbing-chain value), SE(1000) = 6.0, against an optimal
+        # cost of 284.7, so the stated inequality holds at the population
+        # level; a 1000-run sample clears it for ~7 of 8 seeds.  The pinned
+        # seed draws a typical k=3 sample (260.5, within about 0.01 sigma of
+        # the population mean), not a flattering one.
         for k in range(3, 7):
             stats = simulate_batch(k, 1000, 7919 + k)
             matched = 2**k + 1  # nominal actual size 2^k + 3

@@ -216,6 +216,24 @@ class TestFigure4Command:
     def test_rejects_large_k(self, capsys):
         assert main(["figure4", "--max-k", "9", "--runs", "5", "--seed", "1"]) == 2
 
+    def test_one_pool_serves_every_stage(self, capsys, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        argv = ("figure4", "--max-k", "3", "--runs", "20", "--seed", "4")
+        _, serial = run_cli(capsys, *argv, "--workers", "1")
+        assert pools == []
+        _, pooled = run_cli(capsys, *argv, "--workers", "2")
+        assert pools == [2]  # one pool of two processes for stages k = 0..3
+        assert pooled == serial
+
     def test_json_blanks_are_null(self, capsys):
         code, out = run_cli(
             capsys,

@@ -2,8 +2,23 @@ from fractions import Fraction
 
 import pytest
 
-from wfuse.growth_costs import exponential_cost, gamma
-from wfuse.optimal import FusionTree, optimal_costs, optimal_plan
+from wfuse.growth_costs import compose_cost, exponential_cost, gamma
+from wfuse.optimal import CostEntry, FusionTree, optimal_costs, optimal_plan
+
+
+def reference_entries(max_n):
+    """The full exact DP: every split costed with Fraction arithmetic."""
+    entries = {1: CostEntry(Fraction(1), None)}
+    for n in range(2, max_n + 1):
+        best_cost = None
+        best_k = None
+        for k in range(1, n // 2 + 1):
+            cost = compose_cost(entries[k].cost, entries[n - k].cost, k, n - k)
+            if best_cost is None or cost < best_cost:
+                best_cost = cost
+                best_k = k
+        entries[n] = CostEntry(best_cost, best_k)
+    return entries
 
 
 def brute_force_tree_costs(leaves, cache=None):
@@ -72,6 +87,17 @@ class TestOptimalCosts:
         for n in range(2, 13):
             achievable = brute_force_tree_costs(n, cache)
             assert min(achievable) == table.cost(n)
+
+    def test_screened_dp_equals_full_exact_dp(self):
+        assert optimal_costs(300).entries == reference_entries(300)
+
+    def test_balanced_split_observed_up_to_2000(self):
+        # Observed, not proven: the DP's minimizing split is n // 2 for
+        # every n up to 2000.
+        table = optimal_costs(2000)
+        assert [table[n].best_split for n in range(2, 2001)] == [
+            n // 2 for n in range(2, 2001)
+        ]
 
     def test_range_checks(self):
         with pytest.raises(ValueError):
