@@ -6,30 +6,21 @@ single seeded run; the second half checks batch means against the exact
 absorbing-chain oracle for small targets.
 """
 
-from wfuse.fusion_model import classify_uniform
 from wfuse.rng import stream_for_run
 from wfuse.simulate import (
-    SimilarSizesState,
     exact_expected_cost,
     run_similar_sizes,
     simulate_batch,
+    trace_similar_sizes,
 )
 
 
 def traced_run(k, stream):
-    state = SimilarSizesState.initial(k)
-    while True:
-        state.settle()
-        level = state.xi
-        bucket = state.sets[level]
-        n, m = bucket.pop(0), bucket.pop(0)
-        branch = classify_uniform(n, m, stream.random())
-        final = state.apply_branch(n, m, branch, k)
-        contents = {l: list(s) for l, s in enumerate(state.sets) if s}
-        print(f"  fuse w_{n} + w_{m} in S_{level}"
-              f" -> {branch:7s}  cost so far {state.cost_r:3d}  buckets {contents}")
-        if final is not None:
-            return state.cost_r, final
+    for step in trace_similar_sizes(k, stream):
+        contents = {l: list(b) for l, b in enumerate(step.buckets) if b}
+        print(f"  fuse w_{step.n} + w_{step.m} in S_{step.level}"
+              f" -> {step.branch:7s}  cost so far {step.cost:3d}  buckets {contents}")
+    return step.cost, step.final
 
 
 def main():

@@ -8,18 +8,11 @@ plus an amplitude-level verifier of the gate itself.
 """
 
 from .fusion_model import (
-    DegenerateRecycleError,
-    Failure,
-    FusionOutcome,
     OutcomeDistribution,
-    Recyclable,
-    Success,
     actual_size,
-    apply_outcome,
     classify_uniform,
     index_from_actual,
     outcome_distribution,
-    sample_outcome,
 )
 from .growth_costs import (
     LinearGrowthParams,
@@ -34,13 +27,14 @@ from .optimal import CostEntry, CostTable, FusionTree, optimal_costs, optimal_pl
 from .rng import SplitMix64, mix64, stream_for_run
 from .simulate import (
     BatchStats,
+    FusionStep,
     RunResult,
-    SimilarSizesState,
     bucket_index,
     exact_expected_cost,
     run_linear_strategy,
     run_similar_sizes,
     simulate_batch,
+    trace_similar_sizes,
 )
 from .gate import (
     GateCheck,
@@ -56,18 +50,11 @@ from .gate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateRecycleError",
-    "Failure",
-    "FusionOutcome",
     "OutcomeDistribution",
-    "Recyclable",
-    "Success",
     "actual_size",
-    "apply_outcome",
     "classify_uniform",
     "index_from_actual",
     "outcome_distribution",
-    "sample_outcome",
     "LinearGrowthParams",
     "compose_cost",
     "exponential_cost",
@@ -84,13 +71,14 @@ __all__ = [
     "mix64",
     "stream_for_run",
     "BatchStats",
+    "FusionStep",
     "RunResult",
-    "SimilarSizesState",
     "bucket_index",
     "exact_expected_cost",
     "run_linear_strategy",
     "run_similar_sizes",
     "simulate_batch",
+    "trace_similar_sizes",
     "GateCheck",
     "GateReport",
     "SparseState",

@@ -267,9 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser(
         "simulate", help="Monte Carlo batch of the similar-sizes strategy"
     )
-    simulate.add_argument(
-        "--strategy", choices=("similar-sizes",), default="similar-sizes"
-    )
     simulate.add_argument("--k", type=int, required=True, help="target bucket stage")
     simulate.add_argument("--runs", type=int, default=1000)
     simulate.add_argument(

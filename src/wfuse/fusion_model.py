@@ -17,15 +17,16 @@ A single fusion attempt on ``(w_n, w_m)`` has three outcomes:
   ``(n+1)(m+1)/((n+2)(m+2))``
 * failure     -- both states destroyed, probability ``1/((n+2)(m+2))``
 
-All probabilities are exact :class:`fractions.Fraction` values; floats enter
-only when sampling.
+All probabilities are exact :class:`fractions.Fraction` values, and
+:func:`classify_uniform` maps a uniform variate to a branch by exact
+comparison.  This module says which branch an attempt takes; what the
+branch does to the states is applied in :mod:`wfuse.simulate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 __all__ = [
     "SUCCESS",
@@ -35,15 +36,8 @@ __all__ = [
     "actual_size",
     "index_from_actual",
     "OutcomeDistribution",
-    "Success",
-    "Recyclable",
-    "Failure",
-    "FusionOutcome",
-    "DegenerateRecycleError",
     "outcome_distribution",
-    "apply_outcome",
     "classify_uniform",
-    "sample_outcome",
 ]
 
 SUCCESS = "success"
@@ -105,68 +99,6 @@ def outcome_distribution(n: int, m: int) -> OutcomeDistribution:
     )
 
 
-@dataclass(frozen=True)
-class Success:
-    """Successful fusion: one merged state ``w_result``."""
-
-    result: int
-
-
-@dataclass(frozen=True)
-class Recyclable:
-    """Recyclable outcome: both inputs survive, each one index shorter.
-
-    A part of index 0 is a Bell pair; it is still represented here (the
-    ``*_is_bell`` flags mark it) and the caller decides whether to discard
-    it.  The default policy everywhere in this library is to discard Bell
-    pairs without salvage credit.
-    """
-
-    left: int
-    right: int
-
-    @property
-    def left_is_bell(self) -> bool:
-        return self.left == 0
-
-    @property
-    def right_is_bell(self) -> bool:
-        return self.right == 0
-
-
-@dataclass(frozen=True)
-class Failure:
-    """Complete failure: both inputs destroyed."""
-
-
-FusionOutcome = Union[Success, Recyclable, Failure]
-
-
-class DegenerateRecycleError(ValueError):
-    """Recycle branch requested on an input that is already a Bell pair.
-
-    Shrinking ``w_0`` would leave a single photon, which is not a W state;
-    the caller must decide what to do with such attempts.
-    """
-
-
-def apply_outcome(n: int, m: int, branch: str) -> FusionOutcome:
-    """State transition of fusing ``(w_n, w_m)`` along a chosen branch."""
-    _check_index(n, "n")
-    _check_index(m, "m")
-    if branch == SUCCESS:
-        return Success(n + m)
-    if branch == RECYCLE:
-        if n == 0 or m == 0:
-            raise DegenerateRecycleError(
-                f"recycling ({n}, {m}) would shrink a Bell pair"
-            )
-        return Recyclable(n - 1, m - 1)
-    if branch == FAILURE:
-        return Failure()
-    raise ValueError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
-
-
 def classify_uniform(n: int, m: int, u) -> str:
     """Map one uniform variate ``u`` in [0, 1) to a branch tag.
 
@@ -190,12 +122,3 @@ def classify_uniform(n: int, m: int, u) -> str:
         return RECYCLE
     return FAILURE
 
-
-def sample_outcome(n: int, m: int, rng) -> FusionOutcome:
-    """Draw one fusion outcome from ``rng`` (anything with ``.random()``).
-
-    Consumes exactly one variate.  Note that the recycle branch on an input
-    with ``n == 0`` or ``m == 0`` raises :class:`DegenerateRecycleError`;
-    callers fusing Bell pairs must handle that themselves.
-    """
-    return apply_outcome(n, m, classify_uniform(n, m, rng.random()))

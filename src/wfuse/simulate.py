@@ -36,8 +36,10 @@ import statistics
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .fusion_model import (
+    BRANCHES,
     FAILURE,
     RECYCLE,
     SUCCESS,
@@ -49,9 +51,10 @@ from .rng import stream_for_run
 __all__ = [
     "RunResult",
     "BatchStats",
-    "SimilarSizesState",
+    "FusionStep",
     "bucket_index",
     "run_similar_sizes",
+    "trace_similar_sizes",
     "simulate_batch",
     "worker_pool",
     "run_linear_strategy",
@@ -84,41 +87,24 @@ class RunResult:
         return (self.successes, self.recycles, self.failures)
 
 
-@dataclass
-class SimilarSizesState:
-    """Machine state of the similar-sizes strategy.
+@dataclass(frozen=True)
+class FusionStep:
+    """One fusion attempt of a similar-sizes run.
 
-    ``sets[l]`` is the FIFO content of bucket ``S_l`` (oldest first), ``xi``
-    the working-bucket pointer and ``cost_r`` the number of ``w_1`` states
-    drawn so far.  :func:`settle` and :func:`apply_branch` advance it with
-    exactly the transition rules the fast path in :func:`run_similar_sizes`
-    uses.
+    ``w_n`` and ``w_m`` were fused in bucket ``S_level`` with outcome
+    ``branch``; ``cost`` counts the ``w_1`` states drawn so far.  ``buckets``
+    holds every bucket's sizes, oldest first, after step 3 and before step
+    2 refills them.  ``final`` is the size produced when this attempt ends
+    the run, else None.
     """
 
-    sets: list[list[int]]
-    xi: int = 0
-    cost_r: int = 0
-
-    @classmethod
-    def initial(cls, k: int) -> "SimilarSizesState":
-        return cls(sets=[[] for _ in range(k + 2)])
-
-    @property
-    def mu(self) -> list[int]:
-        return [len(s) for s in self.sets]
-
-    def settle(self) -> None:
-        """Run step 2 until the working bucket holds two states."""
-        draws, self.xi = _settle(self.sets, self.xi)
-        self.cost_r += draws
-
-    def apply_branch(self, n: int, m: int, branch: str, k: int):
-        """Apply a fusion branch to already-removed operands ``(n, m)``.
-
-        Returns the final size on terminating success, else ``None``.
-        """
-        final, self.xi = _apply_branch(self.sets, self.xi, n, m, branch, k)
-        return final
+    level: int
+    n: int
+    m: int
+    branch: str
+    cost: int
+    buckets: tuple[tuple[int, ...], ...]
+    final: Optional[int]
 
 
 def _settle(sets, xi):
@@ -204,9 +190,9 @@ def run_similar_sizes(
     The loop below inlines the step helpers and the exact threshold
     classification for speed, and runs the fusions in ``S_0`` in an inner
     loop that keeps only a count of that bucket's ``w_1`` states.
-    ``_run_reference`` is the straightforward mirror on the scalar
-    ``random()`` path and the test suite holds the two to identical results
-    and identical final stream states.
+    :func:`trace_similar_sizes` states the same rules plainly, one attempt
+    at a time, and the test suite holds the two to identical results and
+    identical final stream states.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -291,38 +277,42 @@ def run_similar_sizes(
             _check_membership(sets)
 
 
-def _run_reference(k: int, rng, *, max_steps: int = DEFAULT_STEP_BUDGET) -> RunResult:
-    """Plain mirror of :func:`run_similar_sizes` on the shared step helpers.
+def trace_similar_sizes(k: int, rng, *, max_steps: int = DEFAULT_STEP_BUDGET):
+    """Yield a :class:`FusionStep` for every fusion attempt of one run.
 
-    It draws word by word through the scalar ``rng.random()`` and classifies
-    with :func:`wfuse.fusion_model.classify_uniform`, so it shares no code
-    with the kernel's block draws or its inlined thresholds.
+    This is the word-at-a-time mirror of :func:`run_similar_sizes`: it
+    drives the step helpers, draws through the scalar ``rng.random()`` and
+    classifies with :func:`wfuse.fusion_model.classify_uniform`, so it
+    shares no code with the kernel's block draws or its inlined thresholds.
+    Given the same stream it makes the same attempts, ends in the same
+    stream state, and raises ``RuntimeError`` at the same step budget.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     sets = [[] for _ in range(k + 2)]
-    xi = 0
-    cost = 0
-    attempts = successes = recycles = failures = 0
+    xi = cost = attempts = 0
     while True:
         draws, xi = _settle(sets, xi)
         cost += draws
         if cost + attempts > max_steps:
             raise RuntimeError(f"step budget {max_steps} exceeded at k={k}")
-        bucket = sets[xi]
-        n = bucket.pop(0)
-        m = bucket.pop(0)
+        level = xi
+        n = sets[xi].pop(0)
+        m = sets[xi].pop(0)
         attempts += 1
         branch = classify_uniform(n, m, rng.random())
         final, xi = _apply_branch(sets, xi, n, m, branch, k)
-        if branch == SUCCESS:
-            successes += 1
-        elif branch == RECYCLE:
-            recycles += 1
-        else:
-            failures += 1
+        yield FusionStep(level, n, m, branch, cost, tuple(map(tuple, sets)), final)
         if final is not None:
-            return RunResult(cost, final, attempts, successes, recycles, failures)
+            return
+
+
+def _run_reference(k: int, rng, *, max_steps: int = DEFAULT_STEP_BUDGET) -> RunResult:
+    """The :class:`RunResult` of :func:`trace_similar_sizes`, folded."""
+    counts = dict.fromkeys(BRANCHES, 0)
+    for step in trace_similar_sizes(k, rng, max_steps=max_steps):
+        counts[step.branch] += 1
+    return RunResult(step.cost, step.final, sum(counts.values()), *counts.values())
 
 
 def run_linear_strategy(

@@ -4,16 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wfuse.fusion_model import (
-    DegenerateRecycleError,
-    Failure,
-    Recyclable,
-    Success,
     actual_size,
-    apply_outcome,
     classify_uniform,
     index_from_actual,
     outcome_distribution,
-    sample_outcome,
 )
 from wfuse.rng import SplitMix64
 
@@ -76,46 +70,12 @@ class TestOutcomeDistribution:
                 assert next_.p_recycle > here.p_recycle
 
 
-class TestApplyOutcome:
-    def test_success_adds_indices(self):
-        assert apply_outcome(3, 2, "success") == Success(5)
-
-    def test_recycle_shrinks_both(self):
-        assert apply_outcome(3, 2, "recycle") == Recyclable(2, 1)
-
-    def test_recycle_to_bell_pairs(self):
-        out = apply_outcome(1, 1, "recycle")
-        assert out == Recyclable(0, 0)
-        assert out.left_is_bell and out.right_is_bell
-
-    def test_failure(self):
-        assert apply_outcome(4, 4, "failure") == Failure()
-
-    def test_degenerate_recycle_rejected(self):
-        with pytest.raises(DegenerateRecycleError):
-            apply_outcome(0, 3, "recycle")
-        with pytest.raises(DegenerateRecycleError):
-            apply_outcome(3, 0, "recycle")
-
-    def test_unknown_branch(self):
-        with pytest.raises(ValueError):
-            apply_outcome(1, 1, "explode")
-
-
-class _FixedUniform:
-    def __init__(self, value):
-        self.value = value
-
-    def random(self):
-        return self.value
-
-
 class TestSampling:
     def test_threshold_order_at_basic_pair(self):
         # cumulative thresholds for (1, 1) are 4/9 then 8/9
-        assert sample_outcome(1, 1, _FixedUniform(0.10)) == Success(2)
-        assert sample_outcome(1, 1, _FixedUniform(0.50)) == Recyclable(0, 0)
-        assert sample_outcome(1, 1, _FixedUniform(0.95)) == Failure()
+        assert classify_uniform(1, 1, 0.10) == "success"
+        assert classify_uniform(1, 1, 0.50) == "recycle"
+        assert classify_uniform(1, 1, 0.95) == "failure"
 
     def test_exact_boundaries(self):
         # u equal to a threshold falls in the next branch (u < P_s is strict)
@@ -153,8 +113,3 @@ class TestSampling:
             expected = float(p) * draws
             sigma = (float(p) * (1 - float(p)) * draws) ** 0.5
             assert abs(counts[branch] - expected) < 4 * sigma, (branch, counts)
-
-    def test_sampling_is_reproducible(self):
-        a = [sample_outcome(2, 5, SplitMix64(7)) for _ in range(100)]
-        b = [sample_outcome(2, 5, SplitMix64(7)) for _ in range(100)]
-        assert a == b

@@ -2,8 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wfuse.fusion_model import FAILURE, RECYCLE, SUCCESS, classify_uniform
+from wfuse.fusion_model import BRANCHES, FAILURE, RECYCLE, SUCCESS, classify_uniform
 from wfuse.growth_costs import linear_recycled_costs, w3_linear_cost
 from wfuse.rng import (
     _GOLDEN,
@@ -18,13 +19,15 @@ from wfuse.rng import (
 from wfuse.simulate import (
     _S0_RECYCLE,
     _S0_SUCCESS,
-    SimilarSizesState,
+    FusionStep,
+    RunResult,
     _run_reference,
     bucket_index,
     exact_expected_cost,
     run_linear_strategy,
     run_similar_sizes,
     simulate_batch,
+    trace_similar_sizes,
 )
 
 
@@ -181,16 +184,45 @@ class TestSimilarSizesRuns:
         with pytest.raises(ValueError):
             run_similar_sizes(-1, SplitMix64(0))
 
-    def test_state_machine_steps(self):
-        state = SimilarSizesState.initial(1)
-        state.settle()
-        assert state.cost_r == 2 and state.sets[0] == [1, 1] and state.xi == 0
-        n, m = state.sets[0][0], state.sets[0][1]
-        del state.sets[0][:2]
-        assert state.apply_branch(n, m, "success", k=1) is None
-        assert state.sets[1] == [2] and state.xi == 1
-        state.settle()
-        assert state.cost_r == 4 and state.sets[0] == [1, 1] and state.xi == 0
+    def test_first_trace_steps(self):
+        empty = ((), (), (), ())
+        steps = trace_similar_sizes(2, stream_for_run(2718, 0))
+        assert [next(steps) for _ in range(4)] == [
+            FusionStep(0, 1, 1, SUCCESS, 2, ((), (2,), (), ()), None),
+            FusionStep(0, 1, 1, SUCCESS, 4, ((), (2, 2), (), ()), None),
+            FusionStep(1, 2, 2, FAILURE, 4, empty, None),
+            FusionStep(0, 1, 1, RECYCLE, 6, empty, None),
+        ]
+        *_, last = steps
+        assert last == FusionStep(2, 4, 4, SUCCESS, 64, empty, 8)
+
+    def test_trace_rejects_negative_k(self):
+        with pytest.raises(ValueError):
+            next(trace_similar_sizes(-1, SplitMix64(0)))
+
+
+class TestTraceProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 2**64 - 1))
+    def test_invariants_along_the_trace(self, k, seed):
+        stream = SplitMix64(seed)
+        counts = dict.fromkeys(BRANCHES, 0)
+        failure_loss = 0
+        for step in trace_similar_sizes(k, stream):
+            counts[step.branch] += 1
+            if step.branch == FAILURE:
+                failure_loss += step.n + step.m
+            for level, bucket in enumerate(step.buckets):
+                assert all(bucket_index(size) == level for size in bucket)
+            # Draws add 1 each, success conserves, recycle loses 2, failure n+m.
+            remaining = sum(map(sum, step.buckets))
+            assert step.cost == (
+                remaining + (step.final or 0) + 2 * counts[RECYCLE] + failure_loss
+            )
+        fold = RunResult(step.cost, step.final, sum(counts.values()), *counts.values())
+        fast_stream = SplitMix64(seed)
+        assert run_similar_sizes(k, fast_stream, audit=True) == fold
+        assert fast_stream._state == stream._state
 
 
 class TestBatches:
