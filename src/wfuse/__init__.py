@@ -9,9 +9,7 @@ plus an amplitude-level verifier of the gate itself.
 
 from .fusion_model import (
     OutcomeDistribution,
-    actual_size,
     classify_uniform,
-    index_from_actual,
     outcome_distribution,
 )
 from .growth_costs import (
@@ -51,9 +49,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "OutcomeDistribution",
-    "actual_size",
     "classify_uniform",
-    "index_from_actual",
     "outcome_distribution",
     "LinearGrowthParams",
     "compose_cost",

@@ -11,7 +11,7 @@ The CLI speaks in actual photon counts (``N >= 3``); conversion to the
 library's additive index ``n = N - 2`` happens only here.  Every output is
 a pure function of the flag set, seeds included: rerunning a command
 reproduces it byte for byte.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure or a Monte Carlo run over its step budget, 2 usage error.
 """
 
 from __future__ import annotations
@@ -74,6 +74,11 @@ def _write_rows(rows: Iterable[dict], fmt: str, out: Optional[str]) -> None:
 def _usage_error(message: str) -> int:
     print(f"wfuse: error: {message}", file=sys.stderr)
     return 2
+
+
+def _run_error(exc: RuntimeError) -> int:
+    print(f"wfuse: error: {exc}", file=sys.stderr)
+    return 1
 
 
 def _float_cell(value: Fraction) -> Optional[float]:
@@ -141,7 +146,10 @@ def _cmd_simulate(args) -> int:
         return _usage_error(f"--runs must be >= 1, got {args.runs}")
     if args.workers < 1:
         return _usage_error(f"--workers must be >= 1, got {args.workers}")
-    stats = simulate_batch(args.k, args.runs, args.seed, workers=args.workers)
+    try:
+        stats = simulate_batch(args.k, args.runs, args.seed, workers=args.workers)
+    except RuntimeError as exc:
+        return _run_error(exc)
     rows = [
         {
             "k": stats.k,
@@ -157,11 +165,14 @@ def _cmd_simulate(args) -> int:
     ]
     _write_rows(rows, args.format, args.out)
     if args.dump_runs:
-        dump = (
-            {"run": i, "cost": cost, "final_N": size + 2}
-            for i, (cost, size) in enumerate(zip(stats.costs, stats.final_sizes))
-        )
-        _write_rows(dump, "csv", args.dump_runs)
+        # Every cell is an int, so the rows that _csv_lines would render are
+        # formatted directly.
+        with open(args.dump_runs, "w", newline="") as handle:
+            handle.write("run,cost,final_N\n")
+            handle.writelines(
+                f"{i},{cost},{size + 2}\n"
+                for i, (cost, size) in enumerate(zip(stats.costs, stats.final_sizes))
+            )
     return 0
 
 
@@ -204,13 +215,16 @@ def _cmd_figure4(args) -> int:
     # Stage k reuses the per-run seed derivation with run indices offset by
     # k * runs, so every (stage, run) pair has a distinct stream.  One pool
     # serves every stage.
-    with worker_pool(args.workers) as pool:
-        batches = {
-            k: simulate_batch(
-                k, args.runs, args.seed + k * args.runs, workers=args.workers, pool=pool
-            )
-            for k in range(args.max_k + 1)
-        }
+    try:
+        with worker_pool(args.workers) as pool:
+            batches = {
+                k: simulate_batch(
+                    k, args.runs, args.seed + k * args.runs, workers=args.workers, pool=pool
+                )
+                for k in range(args.max_k + 1)
+            }
+    except RuntimeError as exc:
+        return _run_error(exc)
     mc_rows = {2**k + 3: stats for k, stats in batches.items()}
     rows = []
     for n in range(1, n_max + 1):

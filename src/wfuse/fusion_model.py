@@ -6,9 +6,7 @@ Throughout the library a W state is identified by its lower-case size index
 ``n >= 0``: the state ``w_n`` is the (n+2)-photon W state ``W_{n+2}``, so
 ``n = 0`` is a Bell pair and ``n = 1`` is the three-photon basic resource.
 The index is additive under successful fusion (``w_n + w_m -> w_{n+m}``),
-which is why every cost formula below is written in it.  Use
-:func:`actual_size` / :func:`index_from_actual` to convert at API boundaries
-that speak in photon counts.
+which is why every cost formula below is written in it.
 
 A single fusion attempt on ``(w_n, w_m)`` has three outcomes:
 
@@ -33,8 +31,6 @@ __all__ = [
     "RECYCLE",
     "FAILURE",
     "BRANCHES",
-    "actual_size",
-    "index_from_actual",
     "OutcomeDistribution",
     "outcome_distribution",
     "classify_uniform",
@@ -54,18 +50,6 @@ def _check_index(n: int, name: str = "n") -> int:
     return n
 
 
-def actual_size(n: int) -> int:
-    """Photon count of ``w_n``, i.e. ``n + 2``."""
-    return _check_index(n) + 2
-
-
-def index_from_actual(photons: int) -> int:
-    """Inverse of :func:`actual_size`; requires ``photons >= 2``."""
-    if photons < 2:
-        raise ValueError(f"a W state has at least 2 photons, got {photons}")
-    return photons - 2
-
-
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Exact branch probabilities of one fusion attempt."""
@@ -81,10 +65,6 @@ class OutcomeDistribution:
         for p in (self.p_success, self.p_recycle, self.p_failure):
             if not 0 <= p <= 1:
                 raise ValueError(f"branch probability {p} outside [0, 1]")
-
-    def cumulative(self) -> tuple[Fraction, Fraction]:
-        """Thresholds (p_s, p_s + p_r) used by the sampling contract."""
-        return self.p_success, self.p_success + self.p_recycle
 
 
 def outcome_distribution(n: int, m: int) -> OutcomeDistribution:

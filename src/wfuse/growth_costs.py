@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fusion_model import outcome_distribution
-
 __all__ = [
     "LinearGrowthParams",
     "compose_cost",
@@ -120,14 +118,26 @@ def linear_recycled_costs(max_m: int) -> list[Fraction]:
     companion is a Bell pair and is discarded); a failure restarts from
     scratch.  The increments ``R[w_{m+1}] - R[w_m]`` approach a ratio of 2,
     so recycling brings the scaling down from ``O(3^m)`` to ``O(2^m)``.
+
+    The recursion runs on integers.  With ``p_m = (m+3) / (3(m+2))`` and
+    ``q_m = 2(m+1) / (3(m+2))``, multiplying it by ``3(m+2)`` gives
+
+        (m+3) R[w_{m+1}] = 3 (m+2) R[w_m] + 3 (m+2) - 2 (m+1) R[w_{m-1}],
+
+    so ``r_m = (m+2) R[w_m]`` satisfies
+
+        r_{m+1} = 3 r_m - 2 r_{m-1} + 3 (m+2),   r_0 = 0,  r_1 = 3,
+
+    whose values are integers (``r_2 = 18`` gives ``R[w_2] = 9/2``), and
+    ``R[w_m] = r_m / (m+2)``.
     """
     if max_m < 2:
         raise ValueError(f"max_m must be >= 2, got {max_m}")
-    costs = [Fraction(0), Fraction(1), Fraction(9, 2)]
-    for m in range(2, max_m):
-        dist = outcome_distribution(m, 1)
-        p_m, q_m = dist.p_success, dist.p_recycle
-        costs.append((costs[m] + 1 - q_m * costs[m - 1]) / p_m)
+    costs = [Fraction(0)]
+    prev, r = 0, 3
+    for m in range(1, max_m + 1):
+        costs.append(Fraction(r, m + 2))
+        prev, r = r, 3 * r - 2 * prev + 3 * (m + 2)
     return costs
 
 

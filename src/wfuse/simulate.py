@@ -23,19 +23,26 @@ two *earliest-inserted* states (recycled parts re-enter in operand order,
 older first), and after a recyclable outcome the pointer stays put, letting
 step 2 walk it down as needed.  Buckets may transiently hold more than two
 states after reinsertion; step 2 only cares that at least two are present.
+The two lowest buckets hold a single size each (``S_0`` only ``w_1``,
+``S_1`` only ``w_2``), so their order is moot and the fast kernel keeps
+them as counts.
 
 Randomness comes from the splitmix64 streams in :mod:`wfuse.rng`; run ``i``
 of a batch uses the stream seeded ``mix64(master_seed + i)``, which makes
-batch results independent of execution order and parallelism.
+batch results independent of execution order and parallelism.  A batch
+runs in contiguous ranges of run indices, each returning its costs and
+final sizes as integer arrays, and its mean and standard deviation come
+from exact integer sums.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
+from array import array
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .fusion_model import (
@@ -81,10 +88,6 @@ class RunResult:
     successes: int
     recycles: int
     failures: int
-
-    @property
-    def outcome_counts(self) -> tuple[int, int, int]:
-        return (self.successes, self.recycles, self.failures)
 
 
 @dataclass(frozen=True)
@@ -147,11 +150,17 @@ def _check_membership(sets) -> None:
             )
 
 
-def _check_ledger(sets, cost, final, recycles, failure_loss) -> None:
-    remaining = sum(sum(s) for s in sets)
+def _check_ledger(sets, c0, c1, cost, final, recycles, failure_loss) -> None:
+    remaining = c0 + 2 * c1 + sum(sum(s) for s in sets)
     assert cost == remaining + final + 2 * recycles + failure_loss, (
         "size-index ledger out of balance"
     )
+
+
+def _over_budget(rng, attempts, max_steps, k) -> RuntimeError:
+    """Advance ``rng`` past the draws of ``attempts``; the error to raise."""
+    rng.skip(attempts)
+    return RuntimeError(f"step budget {max_steps} exceeded at k={k}")
 
 
 # Exact thresholds of classify_uniform(1, 1, u) on the 53-bit draw
@@ -159,6 +168,10 @@ def _check_ledger(sets, cost, final, recycles, failure_loss) -> None:
 # ceil(8 * 2**53 / 9), failure from there on.
 _S0_SUCCESS = ((4 << 53) + 8) // 9
 _S0_RECYCLE = ((8 << 53) + 8) // 9
+# The same for classify_uniform(2, 2, u): 3/8 and 15/16, exact because 16
+# divides 2**53.
+_S1_SUCCESS = 3 << 50
+_S1_RECYCLE = 15 << 49
 
 
 def run_similar_sizes(
@@ -188,91 +201,122 @@ def run_similar_sizes(
     once per attempt.
 
     The loop below inlines the step helpers and the exact threshold
-    classification for speed, and runs the fusions in ``S_0`` in an inner
-    loop that keeps only a count of that bucket's ``w_1`` states.
-    :func:`trace_similar_sizes` states the same rules plainly, one attempt
-    at a time, and the test suite holds the two to identical results and
-    identical final stream states.
+    classification for speed.  The two lowest buckets hold a single size
+    each, ``S_0`` only ``w_1`` and ``S_1`` only ``w_2``, so the order of
+    their states does not matter and they are kept as counts ``c0`` and
+    ``c1``; the fusions there run in an inner loop on the counts, and only
+    ``S_2`` and up are FIFO lists.  :func:`trace_similar_sizes` states the
+    same rules plainly, one attempt at a time, and the test suite holds the
+    two to identical results and identical final stream states.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    sets = [[] for _ in range(k + 2)]
+    sets = [[] for _ in range(k + 2)]  # S_0 and S_1 stay empty: see c0, c1
+    c0 = c1 = 0
     xi = 0
     cost = 0
     attempts = successes = recycles = failures = 0
     failure_loss = 0
     draws = rng.draws53()
     for u in draws:
-        while len(sets[xi]) < 2:  # step 2
-            if xi:
-                xi -= 1
-            else:
-                sets[0].append(1)
-                cost += 1
-        if cost + attempts > max_steps:
-            rng.skip(attempts)
-            raise RuntimeError(f"step budget {max_steps} exceeded at k={k}")
-        if not xi:
-            # Fusions in S_0 until the first success.  Only w_1 lives in
-            # S_0, and both of its non-success branches lose both operands,
-            # so the bucket is just a count c of w_1 states.
-            s0 = sets[0]
-            c = len(s0)
-            while u >= _S0_SUCCESS:
-                attempts += 1
-                if u < _S0_RECYCLE:
-                    recycles += 1
+        while xi > 1 and len(sets[xi]) < 2:  # step 2 above S_1
+            xi -= 1
+        if xi < 2:
+            # Fusions in S_0 and S_1 until a success in S_1 moves up.  Step 2
+            # leaves the pointer at S_1 exactly when it holds two states.
+            while True:
+                if c1 < 2:
+                    # Fusions in S_0 until the first success; both of its
+                    # non-success branches lose both operands.
+                    if c0 < 2:  # step 2 at xi = 0
+                        cost += 2 - c0
+                        c0 = 2
+                    if cost + attempts > max_steps:
+                        raise _over_budget(rng, attempts, max_steps, k)
+                    while u >= _S0_SUCCESS:
+                        attempts += 1
+                        if u < _S0_RECYCLE:
+                            recycles += 1
+                        else:
+                            failures += 1
+                            failure_loss += 2
+                        c0 -= 2
+                        if c0 < 2:
+                            cost += 2 - c0
+                            c0 = 2
+                        if cost + attempts > max_steps:
+                            raise _over_budget(rng, attempts, max_steps, k)
+                        u = next(draws)
+                    attempts += 1
+                    successes += 1
+                    c0 -= 2
+                    if not k:
+                        if audit:
+                            _check_ledger(sets, c0, c1, cost, 2, recycles, failure_loss)
+                        rng.skip(attempts)
+                        return RunResult(cost, 2, attempts, successes, recycles, failures)
+                    c1 += 1
                 else:
-                    failures += 1
-                    failure_loss += 2
-                c -= 2
-                if c < 2:  # step 2 at xi = 0
-                    cost += 2 - c
-                    c = 2
-                if cost + attempts > max_steps:
-                    rng.skip(attempts)
-                    raise RuntimeError(f"step budget {max_steps} exceeded at k={k}")
+                    # Fuse (w_2, w_2) in S_1; a recyclable outcome leaves two w_1.
+                    if cost + attempts > max_steps:
+                        raise _over_budget(rng, attempts, max_steps, k)
+                    attempts += 1
+                    c1 -= 2
+                    if u < _S1_SUCCESS:
+                        successes += 1
+                        if k == 1:
+                            if audit:
+                                _check_ledger(sets, c0, c1, cost, 4, recycles, failure_loss)
+                            rng.skip(attempts)
+                            return RunResult(
+                                cost, 4, attempts, successes, recycles, failures
+                            )
+                        sets[2].append(4)
+                        xi = 2
+                        break
+                    if u < _S1_RECYCLE:
+                        recycles += 1
+                        c0 += 2
+                    else:
+                        failures += 1
+                        failure_loss += 4
                 u = next(draws)
-            attempts += 1
-            successes += 1
-            del s0[c - 2:]
-            if not k:
-                if audit:
-                    _check_ledger(sets, cost, 2, recycles, failure_loss)
-                rng.skip(attempts)
-                return RunResult(cost, 2, attempts, successes, recycles, failures)
-            sets[1].append(2)
-            xi = 1
-            if audit:
-                _check_membership(sets)
-            continue
-        bucket = sets[xi]
-        n = bucket.pop(0)
-        m = bucket.pop(0)
-        attempts += 1
-        lhs = u * ((n + 2) * (m + 2))
-        success_num = (n + m + 2) << 53
-        if lhs < success_num:
-            successes += 1
-            if xi == k:
-                final = n + m
-                if audit:
-                    _check_ledger(sets, cost, final, recycles, failure_loss)
-                rng.skip(attempts)
-                return RunResult(
-                    cost, final, attempts, successes, recycles, failures
-                )
-            sets[xi + 1].append(n + m)
-            xi += 1
-        elif lhs < success_num + (((n + 1) * (m + 1)) << 53):
-            recycles += 1
-            if n > 1:
-                sets[(n - 2).bit_length()].append(n - 1)
-            if m > 1:
-                sets[(m - 2).bit_length()].append(m - 1)
         else:
-            failures += 1
-            failure_loss += n + m
+            if cost + attempts > max_steps:
+                raise _over_budget(rng, attempts, max_steps, k)
+            bucket = sets[xi]
+            n = bucket.pop(0)
+            m = bucket.pop(0)
+            attempts += 1
+            lhs = u * ((n + 2) * (m + 2))
+            success_num = (n + m + 2) << 53
+            if lhs < success_num:
+                successes += 1
+                if xi == k:
+                    final = n + m
+                    if audit:
+                        _check_ledger(sets, c0, c1, cost, final, recycles, failure_loss)
+                    rng.skip(attempts)
+                    return RunResult(
+                        cost, final, attempts, successes, recycles, failures
+                    )
+                sets[xi + 1].append(n + m)
+                xi += 1
+            elif lhs < success_num + (((n + 1) * (m + 1)) << 53):
+                recycles += 1
+                # n, m >= 3 here, so a part w_{n-1} is w_2, counted in S_1,
+                # or lands in S_2 and up.
+                if n == 3:
+                    c1 += 1
+                else:
+                    sets[(n - 2).bit_length()].append(n - 1)
+                if m == 3:
+                    c1 += 1
+                else:
+                    sets[(m - 2).bit_length()].append(m - 1)
+            else:
+                failures += 1
+                failure_loss += n + m
         if audit:
             _check_membership(sets)
 
@@ -375,7 +419,11 @@ class BatchStats:
     """Aggregate statistics of a batch of runs.
 
     Runs end at variable final sizes (anything above the bucket threshold),
-    so the realized sizes are kept alongside the costs.
+    so the realized sizes are kept alongside the costs.  ``costs`` and
+    ``final_sizes`` are ``array('q')`` values indexed by run.  ``mean`` and
+    ``std`` equal ``statistics.fmean`` and ``statistics.stdev`` of the
+    costs (``std`` is 0.0 for a single run); both are computed from exact
+    integer sums.
     """
 
     k: int
@@ -386,14 +434,43 @@ class BatchStats:
     stderr: float
     min: int
     max: int
-    costs: tuple[int, ...]
-    final_sizes: tuple[int, ...]
+    costs: array
+    final_sizes: array
 
 
-def _one_run(args) -> tuple[int, int]:
-    k, master_seed, index = args
-    result = run_similar_sizes(k, stream_for_run(master_seed, index))
-    return result.cost, result.final_size
+def _run_range(args) -> tuple[array, array]:
+    """Costs and final sizes of runs ``start`` to ``stop - 1`` of a batch."""
+    k, master_seed, start, stop = args
+    costs = array("q")
+    sizes = array("q")
+    for i in range(start, stop):
+        result = run_similar_sizes(k, stream_for_run(master_seed, i))
+        costs.append(result.cost)
+        sizes.append(result.final_size)
+    return costs, sizes
+
+
+def _sample_std(n: int, total: int, total_sq: int) -> float:
+    """``statistics.stdev`` of ``n`` integers with sum ``total`` and sum of
+    squares ``total_sq``, or 0.0 when ``n < 2``.
+
+    The sample variance is exactly ``(n*total_sq - total**2) / (n*(n-1))``.
+    Its square root is rounded once: the integer root of the variance scaled
+    by ``4**shift`` keeps at least 55 bits, its last bit is set when the
+    root is inexact (rounding to odd), and the division by ``2**shift`` is
+    a correctly rounded int/int division, so the float is the nearest to
+    the exact root.
+    """
+    if n < 2:
+        return 0.0
+    num = n * total_sq - total * total
+    den = n * (n - 1)
+    shift = max(0, (110 - num.bit_length() + den.bit_length()) // 2)
+    scaled = num << 2 * shift
+    root = math.isqrt(scaled // den)
+    if root * root * den != scaled:
+        root |= 1
+    return root / (1 << shift)
 
 
 @contextmanager
@@ -431,27 +508,33 @@ def simulate_batch(
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    args = [(k, master_seed, i) for i in range(runs)]
     if workers <= 1:
-        outcomes = [_one_run(a) for a in args]
+        costs, final_sizes = _run_range((k, master_seed, 0, runs))
     else:
-        chunk = max(1, runs // (workers * 8))
+        # About eight ranges per worker, joined in run order.
+        step = -(-runs // (workers * 8))
+        ranges = [(k, master_seed, i, min(i + step, runs)) for i in range(0, runs, step)]
         with (nullcontext(pool) if pool is not None else worker_pool(workers)) as pool:
-            outcomes = list(pool.map(_one_run, args, chunksize=chunk))
-    costs = [cost for cost, _ in outcomes]
-    mean = statistics.fmean(costs)
-    std = statistics.stdev(costs) if runs > 1 else 0.0
+            parts = list(pool.map(_run_range, ranges))
+        costs, final_sizes = array("q"), array("q")
+        for part_costs, part_sizes in parts:
+            costs += part_costs
+            final_sizes += part_sizes
+    # Each cost is an int of at most max_steps < 2**53, so float(total) is
+    # what fsum(costs) returns and the mean equals statistics.fmean.
+    total = sum(costs)
+    std = _sample_std(runs, total, sum(map(mul, costs, costs)))
     return BatchStats(
         k=k,
         runs=runs,
         master_seed=master_seed,
-        mean=mean,
+        mean=float(total) / runs,
         std=std,
         stderr=std / math.sqrt(runs),
         min=min(costs),
         max=max(costs),
-        costs=tuple(costs),
-        final_sizes=tuple(size for _, size in outcomes),
+        costs=costs,
+        final_sizes=final_sizes,
     )
 
 

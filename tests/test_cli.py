@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
-from wfuse.cli import main
+import wfuse.simulate
+from wfuse.cli import _csv_lines, main
 from wfuse.growth_costs import linear_recycled_costs
+from wfuse.simulate import simulate_batch
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +150,29 @@ class TestSimulateCommand:
         assert len(dumped) == 25
         assert [r["run"] for r in dumped] == [str(i) for i in range(25)]
         assert all(int(r["final_N"]) >= 4 for r in dumped)  # 2^0 + 3
+        stats = simulate_batch(0, 25, 3)
+        rows = (
+            {"run": i, "cost": cost, "final_N": size + 2}
+            for i, (cost, size) in enumerate(zip(stats.costs, stats.final_sizes))
+        )
+        assert path.read_bytes() == "".join(_csv_lines(rows)).encode()
+
+    @pytest.mark.parametrize("command", ["simulate", "figure4"])
+    def test_step_budget_overrun_exits_one(self, capsys, monkeypatch, tmp_path, command):
+        def overrun(k, rng, **kwargs):
+            raise RuntimeError(f"step budget 10 exceeded at k={k}")
+
+        monkeypatch.setattr(wfuse.simulate, "run_similar_sizes", overrun)
+        path = tmp_path / "runs.csv"
+        if command == "simulate":
+            argv = ["simulate", "--k", "0", "--dump-runs", str(path)]
+        else:
+            argv = ["figure4", "--max-k", "1"]
+        assert main([*argv, "--runs", "5", "--seed", "1", "--workers", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "wfuse: error: step budget 10 exceeded at k=0\n"
+        assert not path.exists()
 
     def test_repeat_is_byte_identical(self, capsys):
         _, first = run_cli(capsys, "simulate", "--k", "1", "--runs", "200", "--seed", "9")

@@ -3,32 +3,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from wfuse.fusion_model import (
-    actual_size,
-    classify_uniform,
-    index_from_actual,
-    outcome_distribution,
-)
+from wfuse.fusion_model import classify_uniform, outcome_distribution
 from wfuse.rng import SplitMix64
 
 
 class TestSizeConventions:
-    def test_actual_size(self):
-        assert actual_size(0) == 2  # Bell pair
-        assert actual_size(1) == 3  # basic resource
-        assert actual_size(10) == 12
-
-    def test_round_trip(self):
-        for n in range(0, 50):
-            assert index_from_actual(actual_size(n)) == n
-
     def test_rejects_bad_values(self):
+        # size indices are ints >= 0 (n = 0 is a Bell pair)
         with pytest.raises(ValueError):
-            actual_size(-1)
+            outcome_distribution(-1, 1)
         with pytest.raises(ValueError):
-            index_from_actual(1)
+            classify_uniform(1, -1, 0.5)
         with pytest.raises(TypeError):
-            actual_size(1.5)
+            outcome_distribution(1.5, 1)
+        with pytest.raises(TypeError):
+            classify_uniform(True, 1, 0.5)
 
 
 class TestOutcomeDistribution:
@@ -94,7 +83,7 @@ class TestSampling:
         if u >= 1:
             return
         dist = outcome_distribution(n, m)
-        low, high = dist.cumulative()
+        low, high = dist.p_success, dist.p_success + dist.p_recycle
         expected = "success" if u < low else ("recycle" if u < high else "failure")
         assert classify_uniform(n, m, u) == expected
 

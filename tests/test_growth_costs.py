@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wfuse.fusion_model import outcome_distribution
 from wfuse.growth_costs import (
     LinearGrowthParams,
     compose_cost,
@@ -21,6 +22,15 @@ def iterate_linear_recurrence(m, n, k, seed_cost, increment_cost):
     for j in range(k):
         r = (n + 2) * r + xi * (m + j * n + 2)
     return r / (m + k * n + 2)
+
+
+def recycled_costs_by_fractions(max_m):
+    """The recycled-linear recursion as stated, in Fraction arithmetic."""
+    costs = [Fraction(0), Fraction(1), Fraction(9, 2)]
+    for m in range(2, max_m):
+        dist = outcome_distribution(m, 1)
+        costs.append((costs[m] + 1 - dist.p_recycle * costs[m - 1]) / dist.p_success)
+    return costs
 
 
 class TestComposeCost:
@@ -128,6 +138,12 @@ class TestLinearRecycledCosts:
             linear_recycled_costs(4)[4]
             == (12 + 1 - q3 * Fraction(9, 2)) / p3
         )
+
+    def test_integer_recurrence_equals_fraction_recursion(self):
+        reference = recycled_costs_by_fractions(400)
+        assert linear_recycled_costs(400) == reference
+        for max_m in (2, 3, 17):
+            assert linear_recycled_costs(max_m) == reference[: max_m + 1]
 
     def test_difference_ratio_approaches_two(self):
         # |ratio - 2| tracks 2/(m+3): 1.56% of the limit at m = 60, first

@@ -1,4 +1,6 @@
 import math
+import random
+import statistics
 from fractions import Fraction
 
 import pytest
@@ -19,9 +21,12 @@ from wfuse.rng import (
 from wfuse.simulate import (
     _S0_RECYCLE,
     _S0_SUCCESS,
+    _S1_RECYCLE,
+    _S1_SUCCESS,
     FusionStep,
     RunResult,
     _run_reference,
+    _sample_std,
     bucket_index,
     exact_expected_cost,
     run_linear_strategy,
@@ -110,6 +115,16 @@ class TestBlockDraws:
         ):
             assert classify_uniform(1, 1, draw * 2.0**-53) == branch
 
+    def test_s1_thresholds_are_the_exact_ones(self):
+        assert (_S1_SUCCESS, _S1_RECYCLE) == (3377699720527872, 8444249301319680)
+        for draw, branch in (
+            (3377699720527871, SUCCESS),
+            (3377699720527872, RECYCLE),
+            (8444249301319679, RECYCLE),
+            (8444249301319680, FAILURE),
+        ):
+            assert classify_uniform(2, 2, draw * 2.0**-53) == branch
+
 
 class TestBuckets:
     def test_membership_rule(self):
@@ -133,12 +148,13 @@ class TestBuckets:
 
 class TestSimilarSizesRuns:
     def test_fast_loop_matches_reference(self):
+        # k = 1 runs only in S_0 and S_1, the two buckets kept as counts.
         for k in range(0, 7):
-            for i in range({5: 3, 6: 2}.get(k, 25)):
+            for i in range({1: 300, 5: 3, 6: 2}.get(k, 25)):
                 seed_stream = stream_for_run(905, i + 100 * k)
                 ref_stream = stream_for_run(905, i + 100 * k)
                 start = seed_stream._state
-                result = run_similar_sizes(k, seed_stream)
+                result = run_similar_sizes(k, seed_stream, audit=True)
                 assert result == _run_reference(k, ref_stream)
                 assert seed_stream._state == ref_stream._state
                 assert seed_stream._state == (start + result.fusion_attempts * _GOLDEN) & MASK64
@@ -244,9 +260,11 @@ class TestBatches:
         )
 
     def test_workers_do_not_change_results(self):
-        sequential = simulate_batch(2, 80, 55, workers=1)
-        parallel = simulate_batch(2, 80, 55, workers=3)
-        assert sequential.costs == parallel.costs
+        # 97 runs split into ranges of 7 (2 workers) and 5 (3 workers).
+        sequential = simulate_batch(2, 97, 55, workers=1)
+        for workers in (2, 3):
+            assert simulate_batch(2, 97, 55, workers=workers) == sequential
+        assert len(sequential.costs) == len(sequential.final_sizes) == 97
 
     def test_runs_are_indexed_by_derived_stream(self):
         stats = simulate_batch(1, 6, 991)
@@ -264,6 +282,20 @@ class TestBatches:
     def test_rejects_no_runs(self):
         with pytest.raises(ValueError):
             simulate_batch(0, 0, 1)
+
+    def test_moments_from_integer_sums_match_statistics(self):
+        rng = random.Random(3)
+        for _ in range(1200):
+            n = rng.randint(2, 300)
+            high = rng.choice([1, 9, 10**3, 10**6, 10**9, 2**53 - 1])
+            costs = [rng.randint(0, high) for _ in range(n)]
+            std = _sample_std(n, sum(costs), sum(c * c for c in costs))
+            assert std == statistics.stdev(costs), costs
+            assert float(sum(costs)) / n == statistics.fmean(costs)
+        assert _sample_std(1, 7, 49) == 0.0
+        single = simulate_batch(3, 1, 10)
+        assert (single.std, single.stderr) == (0.0, 0.0)
+        assert single.mean == single.min == single.max == single.costs[0]
 
 
 class TestExactChainOracle:
@@ -327,7 +359,9 @@ class TestLinearStrategyRuns:
         result = run_linear_strategy(5, True, stream)
         assert result.final_size == 5
         assert result.cost >= 5
-        assert result.fusion_attempts == sum(result.outcome_counts)
+        assert result.fusion_attempts == (
+            result.successes + result.recycles + result.failures
+        )
         assert stream._state == (start + result.fusion_attempts * _GOLDEN) & MASK64
 
     def test_matches_scalar_classification(self):
