@@ -17,7 +17,6 @@ failure or a Monte Carlo run over its step budget, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -65,6 +64,8 @@ def _write_rows(rows: Iterable[dict], fmt: str, out: Optional[str]) -> None:
         if fmt == "csv":
             handle.writelines(_csv_lines(rows))
         else:
+            import json  # only here: most commands never load it
+
             handle.write(json.dumps(list(rows), indent=2) + "\n")
     finally:
         if out:
@@ -319,7 +320,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return args.func(args)
+    # Exact costs pass the default 4300-digit cap on int -> str conversion
+    # (linear growth at N = 9014); lift it while this command runs.
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return args.func(args)
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ branch does to the states is applied in :mod:`wfuse.simulate`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 __all__ = [
@@ -50,21 +50,21 @@ def _check_index(n: int, name: str = "n") -> int:
     return n
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
+class OutcomeDistribution(
+    namedtuple("OutcomeDistribution", "p_success p_recycle p_failure")
+):
     """Exact branch probabilities of one fusion attempt."""
 
-    p_success: Fraction
-    p_recycle: Fraction
-    p_failure: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        total = self.p_success + self.p_recycle + self.p_failure
+    def __new__(cls, p_success, p_recycle, p_failure):
+        total = p_success + p_recycle + p_failure
         if total != 1:
             raise ValueError(f"branch probabilities sum to {total}, not 1")
-        for p in (self.p_success, self.p_recycle, self.p_failure):
+        for p in (p_success, p_recycle, p_failure):
             if not 0 <= p <= 1:
                 raise ValueError(f"branch probability {p} outside [0, 1]")
+        return super().__new__(cls, p_success, p_recycle, p_failure)
 
 
 def outcome_distribution(n: int, m: int) -> OutcomeDistribution:

@@ -27,7 +27,7 @@ the amplitude maps here never exceed a few dozen entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -180,8 +180,13 @@ def _combine(
     return {label: amp for label, amp in out.items() if abs(amp) > _PRUNE}
 
 
-@dataclass(frozen=True)
-class GateReport:
+class GateReport(
+    namedtuple(
+        "GateReport",
+        "p_success p_recycle p_failure post_success_state post_recycle_states"
+        " post_failure_state detector_breakdown pattern_states",
+    )
+):
     """Everything one fusion-gate application reveals.
 
     ``detector_breakdown`` maps detector patterns to probabilities and
@@ -191,17 +196,11 @@ class GateReport:
     ``post_success_state`` is the sign-corrected merged state.  Note the
     physical detectors only reveal D/Dbar results, not which input branch
     caused a coincidence; the per-branch states here are simulator
-    introspection.
+    introspection.  The ``post_*`` states are None for a branch of
+    probability zero.
     """
 
-    p_success: float
-    p_recycle: float
-    p_failure: float
-    post_success_state: Optional[SparseState]
-    post_recycle_states: Optional[Tuple[SparseState, SparseState]]
-    post_failure_state: Optional[SparseState]
-    detector_breakdown: Dict[str, float]
-    pattern_states: Dict[str, Optional[SparseState]]
+    __slots__ = ()
 
 
 def fuse(
@@ -290,16 +289,19 @@ def fuse(
     )
 
 
-@dataclass(frozen=True)
-class GateCheck:
-    """Amplitude-simulated branch probabilities against the closed forms."""
+class GateCheck(
+    namedtuple(
+        "GateCheck",
+        "n_photons m_photons analytic simulated fidelities max_abs_error",
+    )
+):
+    """Amplitude-simulated branch probabilities against the closed forms.
 
-    n_photons: int
-    m_photons: int
-    analytic: Dict[str, Fraction]
-    simulated: Dict[str, float]
-    fidelities: Dict[str, float]
-    max_abs_error: float
+    ``analytic`` (exact), ``simulated`` and ``fidelities`` map each branch
+    name to its value.
+    """
+
+    __slots__ = ()
 
 
 def verify_probabilities(n_photons: int, m_photons: int) -> GateCheck:

@@ -20,7 +20,7 @@ The optimal non-recycling strategy lives in :mod:`wfuse.optimal`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 __all__ = [
@@ -48,19 +48,17 @@ def compose_cost(cost_a, cost_b, n: int, m: int) -> Fraction:
     return (cost_a + cost_b) * (n + 2) * (m + 2) / (n + m + 2)
 
 
-@dataclass(frozen=True)
-class LinearGrowthParams:
+class LinearGrowthParams(namedtuple("LinearGrowthParams", "m n k")):
     """Linear growth schedule: seed ``w_m``, fuse ``w_n`` on, ``k`` times."""
 
-    m: int
-    n: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1:
+    def __new__(cls, m, n, k):
+        if m < 1 or n < 1:
             raise ValueError("seed and increment indices must be >= 1")
-        if self.k < 0:
+        if k < 0:
             raise ValueError("number of fusion levels must be >= 0")
+        return super().__new__(cls, m, n, k)
 
 
 def linear_growth_cost(

@@ -35,9 +35,8 @@ never gets to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
 
 from .growth_costs import compose_cost
 
@@ -48,20 +47,23 @@ __all__ = ["CostEntry", "CostTable", "FusionTree", "optimal_costs", "optimal_pla
 _SCREEN_MARGIN = 1 + 2.0**-40
 
 
-@dataclass(frozen=True)
-class CostEntry:
-    """Optimal cost of one target plus the split that attains it."""
+class CostEntry(namedtuple("CostEntry", "cost best_split")):
+    """Optimal cost of one target plus the split that attains it.
 
-    cost: Fraction
-    best_split: Optional[int]  # smallest minimizing k; None for the base state
+    ``best_split`` is the smallest minimizing k, None for the base state.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CostTable:
-    """Optimal costs for every index 1..max_n."""
+class CostTable(namedtuple("CostTable", "entries max_n")):
+    """Optimal costs for every index 1..max_n.
 
-    entries: dict[int, CostEntry]
-    max_n: int
+    ``entries`` maps each index to its :class:`CostEntry`, and
+    ``table[n]`` is the entry of index ``n``, not a tuple item.
+    """
+
+    __slots__ = ()
 
     def __getitem__(self, n: int) -> CostEntry:
         if not 1 <= n <= self.max_n:
@@ -105,13 +107,15 @@ def optimal_costs(max_n: int) -> CostTable:
     return CostTable(entries, max_n)
 
 
-@dataclass(frozen=True)
-class FusionTree:
-    """Binary fusion plan; leaves are the unit-cost ``w_1`` states."""
+class FusionTree(
+    namedtuple("FusionTree", "size left right", defaults=(None, None))
+):
+    """Binary fusion plan; leaves are the unit-cost ``w_1`` states.
 
-    size: int
-    left: Optional["FusionTree"] = None
-    right: Optional["FusionTree"] = None
+    ``left`` and ``right`` are the two subtrees, None for a leaf.
+    """
+
+    __slots__ = ()
 
     @property
     def is_leaf(self) -> bool:

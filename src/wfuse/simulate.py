@@ -39,11 +39,10 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import namedtuple
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional
 
 from .fusion_model import (
     BRANCHES,
@@ -64,7 +63,6 @@ __all__ = [
     "trace_similar_sizes",
     "simulate_batch",
     "worker_pool",
-    "run_linear_strategy",
     "exact_expected_cost",
 ]
 
@@ -78,20 +76,18 @@ def bucket_index(size: int) -> int:
     return (size - 1).bit_length()
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(
+    namedtuple(
+        "RunResult",
+        "cost final_size fusion_attempts successes recycles failures",
+    )
+):
     """Outcome of one strategy run."""
 
-    cost: int
-    final_size: int
-    fusion_attempts: int
-    successes: int
-    recycles: int
-    failures: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FusionStep:
+class FusionStep(namedtuple("FusionStep", "level n m branch cost buckets final")):
     """One fusion attempt of a similar-sizes run.
 
     ``w_n`` and ``w_m`` were fused in bucket ``S_level`` with outcome
@@ -101,13 +97,7 @@ class FusionStep:
     the run, else None.
     """
 
-    level: int
-    n: int
-    m: int
-    branch: str
-    cost: int
-    buckets: tuple[tuple[int, ...], ...]
-    final: Optional[int]
+    __slots__ = ()
 
 
 def _settle(sets, xi):
@@ -359,63 +349,12 @@ def _run_reference(k: int, rng, *, max_steps: int = DEFAULT_STEP_BUDGET) -> RunR
     return RunResult(step.cost, step.final, sum(counts.values()), *counts.values())
 
 
-def run_linear_strategy(
-    target: int,
-    recycle: bool,
-    rng,
-    *,
-    max_steps: int = DEFAULT_STEP_BUDGET,
-) -> RunResult:
-    """Grow ``w_target`` one index at a time by fusing fresh ``w_1`` states.
-
-    Without recycling any non-success discards everything and the chain
-    restarts from a fresh seed, so the expected cost is the
-    :func:`wfuse.growth_costs.w3_linear_cost` value.  With recycling a
-    recyclable outcome keeps the shortened working state (the shortened
-    companion is a Bell pair, discarded) and only complete failure
-    restarts; the expected cost matches
-    :func:`wfuse.growth_costs.linear_recycled_costs`.
-
-    Like :func:`run_similar_sizes`, each attempt takes one block draw from
-    ``rng`` and the stream ends advanced by the number of attempts.
-    """
-    if target < 1:
-        raise ValueError(f"target index must be >= 1, got {target}")
-    cost = 1  # the seed w_1
-    size = 1
-    attempts = successes = recycles = failures = 0
-    draws = rng.draws53()
-    while size < target:
-        if cost + attempts > max_steps:
-            rng.skip(attempts)
-            raise RuntimeError(f"step budget {max_steps} exceeded")
-        cost += 1  # fresh w_1 to fuse on
-        attempts += 1
-        lhs = next(draws) * ((size + 2) * 3)
-        success_num = (size + 3) << 53
-        if lhs < success_num:
-            successes += 1
-            size += 1
-        elif lhs < success_num + ((2 * (size + 1)) << 53):
-            recycles += 1
-            if recycle:
-                size -= 1
-                if size == 0:  # shrank to a Bell pair: worthless, start over
-                    cost += 1
-                    size = 1
-            else:
-                cost += 1
-                size = 1
-        else:
-            failures += 1
-            cost += 1
-            size = 1
-    rng.skip(attempts)
-    return RunResult(cost, size, attempts, successes, recycles, failures)
-
-
-@dataclass(frozen=True)
-class BatchStats:
+class BatchStats(
+    namedtuple(
+        "BatchStats",
+        "k runs master_seed mean std stderr min max costs final_sizes",
+    )
+):
     """Aggregate statistics of a batch of runs.
 
     Runs end at variable final sizes (anything above the bucket threshold),
@@ -426,16 +365,7 @@ class BatchStats:
     integer sums.
     """
 
-    k: int
-    runs: int
-    master_seed: int
-    mean: float
-    std: float
-    stderr: float
-    min: int
-    max: int
-    costs: array
-    final_sizes: array
+    __slots__ = ()
 
 
 def _run_range(args) -> tuple[array, array]:

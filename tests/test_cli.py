@@ -1,13 +1,17 @@
 import json
 import subprocess
 import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
 import wfuse.simulate
 from wfuse.cli import _csv_lines, main
-from wfuse.growth_costs import linear_recycled_costs
+from wfuse.growth_costs import linear_recycled_costs, w3_linear_cost
 from wfuse.simulate import simulate_batch
+
+SRC = Path(wfuse.simulate.__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -20,6 +24,20 @@ def parse_csv(text):
     lines = text.strip("\n").split("\n")
     header = lines[0].split(",")
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+@contextmanager
+def int_str_digits(limit):
+    """Set Python's cap on int <-> str digits (where it exists), then restore it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 class TestCostCommand:
@@ -94,6 +112,24 @@ class TestCostCommand:
         assert rows[-2]["N"] == 653 and rows[-2]["cost_float"] > 1e308
         assert rows[-1]["N"] == 654 and rows[-1]["cost_float"] is None
         assert int(rows[-1]["cost_exact_num"]) > 0
+
+    def test_exact_cells_beyond_the_int_str_digit_cap(self, capsys):
+        # The numerator of w3_linear_cost(9012) has 4301 digits, one more than
+        # Python's default cap on int -> str conversion.
+        with int_str_digits(4300):
+            code, out = run_cli(capsys, "cost", "--strategy", "linear", "--target", "9014")
+            if hasattr(sys, "get_int_max_str_digits"):
+                assert sys.get_int_max_str_digits() == 4300  # main() restored it
+        assert code == 0
+        rows = parse_csv(out)
+        assert [row["N"] for row in rows] == [str(n + 2) for n in range(1, 9013)]
+        cost = w3_linear_cost(9012)
+        with int_str_digits(0):
+            assert (rows[-1]["cost_exact_num"], rows[-1]["cost_exact_den"]) == (
+                str(cost.numerator),
+                str(cost.denominator),
+            )
+        assert len(rows[-1]["cost_exact_num"]) == 4301
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
@@ -281,3 +317,30 @@ class TestSubprocessDeterminism:
         second = subprocess.run(cmd, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout.endswith(b"\n")
+
+
+class TestStartup:
+    @staticmethod
+    def modules_added_by(statement):
+        """Modules that ``statement`` imports in a fresh interpreter."""
+        program = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(SRC)!r})\n"
+            "before = set(sys.modules)\n"
+            f"{statement}\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", program], capture_output=True, text=True, check=True
+        )
+        return set(done.stdout.split())
+
+    def test_cli_import_loads_no_dataclasses_inspect_or_json(self):
+        added = self.modules_added_by("import wfuse.cli")
+        assert "wfuse.gate" in added and "wfuse.simulate" in added
+        assert not added & {"dataclasses", "inspect", "json"}
+
+    def test_simulate_import_loads_no_other_layers(self):
+        added = self.modules_added_by("from wfuse.simulate import exact_expected_cost")
+        assert "wfuse.fusion_model" in added
+        assert not added & {"wfuse.gate", "wfuse.optimal", "wfuse.growth_costs"}

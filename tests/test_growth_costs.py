@@ -85,10 +85,15 @@ class TestLinearGrowth:
         )
 
     def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            LinearGrowthParams(0, 1, 1)
-        with pytest.raises(ValueError):
-            LinearGrowthParams(1, 1, -1)
+        for m, n, k, message in [
+            (0, 1, 1, "seed and increment indices must be >= 1"),
+            (1, 0, 1, "seed and increment indices must be >= 1"),
+            (1, 1, -1, "number of fusion levels must be >= 0"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                LinearGrowthParams(m, n, k)
+            with pytest.raises(ValueError, match=message):
+                LinearGrowthParams(m=m, n=n, k=k)
 
 
 class TestW3LinearCost:

@@ -19,6 +19,7 @@ from wfuse.rng import (
     stream_for_run,
 )
 from wfuse.simulate import (
+    DEFAULT_STEP_BUDGET,
     _S0_RECYCLE,
     _S0_SUCCESS,
     _S1_RECYCLE,
@@ -29,7 +30,6 @@ from wfuse.simulate import (
     _sample_std,
     bucket_index,
     exact_expected_cost,
-    run_linear_strategy,
     run_similar_sizes,
     simulate_batch,
     trace_similar_sizes,
@@ -321,6 +321,61 @@ class TestExactChainOracle:
         stats = simulate_batch(k, 10**4, 2024)
         exact = float(exact_expected_cost(k))
         assert abs(stats.mean - exact) < 4 * stats.stderr
+
+
+def run_linear_strategy(
+    target: int,
+    recycle: bool,
+    rng,
+    *,
+    max_steps: int = DEFAULT_STEP_BUDGET,
+) -> RunResult:
+    """Grow ``w_target`` one index at a time by fusing fresh ``w_1`` states.
+
+    Without recycling any non-success discards everything and the chain
+    restarts from a fresh seed, so the expected cost is the
+    :func:`wfuse.growth_costs.w3_linear_cost` value.  With recycling a
+    recyclable outcome keeps the shortened working state (the shortened
+    companion is a Bell pair, discarded) and only complete failure
+    restarts; the expected cost matches
+    :func:`wfuse.growth_costs.linear_recycled_costs`.
+
+    Like :func:`run_similar_sizes`, each attempt takes one block draw from
+    ``rng`` and the stream ends advanced by the number of attempts.
+    """
+    if target < 1:
+        raise ValueError(f"target index must be >= 1, got {target}")
+    cost = 1  # the seed w_1
+    size = 1
+    attempts = successes = recycles = failures = 0
+    draws = rng.draws53()
+    while size < target:
+        if cost + attempts > max_steps:
+            rng.skip(attempts)
+            raise RuntimeError(f"step budget {max_steps} exceeded")
+        cost += 1  # fresh w_1 to fuse on
+        attempts += 1
+        lhs = next(draws) * ((size + 2) * 3)
+        success_num = (size + 3) << 53
+        if lhs < success_num:
+            successes += 1
+            size += 1
+        elif lhs < success_num + ((2 * (size + 1)) << 53):
+            recycles += 1
+            if recycle:
+                size -= 1
+                if size == 0:  # shrank to a Bell pair: worthless, start over
+                    cost += 1
+                    size = 1
+            else:
+                cost += 1
+                size = 1
+        else:
+            failures += 1
+            cost += 1
+            size = 1
+    rng.skip(attempts)
+    return RunResult(cost, size, attempts, successes, recycles, failures)
 
 
 class TestLinearStrategyRuns:
