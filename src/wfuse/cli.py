@@ -27,13 +27,17 @@ from .growth_costs import (
     w3_linear_cost,
 )
 from .optimal import optimal_costs
-from .gate import TOLERANCE, verify_probabilities
+from .gate import verify_probabilities
 from .simulate import simulate_batch, worker_pool
 
 _FLOAT_FMT = ".17g"
 # Largest stage k that `simulate --k` and `figure4 --max-k` accept: the
 # expected cost of a run grows about 3.6x per stage.
 _MAX_K = 8
+# Largest actual size N that `cost --target` accepts.  At the bound the
+# optimal table takes about 4 s and the linear table writes 24 MB; the
+# linear table's size grows quadratically in N.
+_MAX_TARGET = 10_000
 
 
 def _cell(value) -> str:
@@ -106,8 +110,10 @@ def _rational_cells(prefix: str, value: Optional[Fraction]) -> dict:
 
 def _cmd_cost(args) -> int:
     target = args.target
-    if target < 3:
-        return _usage_error(f"--target must be an actual size >= 3, got {target}")
+    if not 3 <= target <= _MAX_TARGET:
+        return _usage_error(
+            f"--target must be an actual size in 3..{_MAX_TARGET}, got {target}"
+        )
     n_max = target - 2
     pairs: list[tuple[int, Fraction]] = []  # (index, cost)
     if args.strategy == "linear":
@@ -182,25 +188,23 @@ def _cmd_verify_gate(args) -> int:
         if not 2 <= size <= 12:
             return _usage_error(f"{name} must be in 2..12, got {size}")
     check = verify_probabilities(args.n, args.m)
-    rows = []
-    worst = 0.0
-    for branch in ("success", "recycle", "failure"):
-        err = abs(float(check.analytic[branch]) - check.simulated[branch])
-        defect = abs(1.0 - check.fidelities[branch])
-        worst = max(worst, err, defect)
-        rows.append(
-            {
-                "N": args.n,
-                "M": args.m,
-                "branch": branch,
-                "analytic": float(check.analytic[branch]),
-                "simulated": check.simulated[branch],
-                "abs_error": err,
-                "fidelity": check.fidelities[branch],
-            }
-        )
+    rows = [
+        {
+            "N": args.n,
+            "M": args.m,
+            "branch": branch,
+            "analytic": float(check.analytic[branch]),
+            "simulated": float(check.simulated[branch]),
+            "abs_error": float(abs(check.simulated[branch] - check.analytic[branch])),
+            "fidelity": float(check.fidelities[branch]),
+        }
+        for branch in ("success", "recycle", "failure")
+    ]
     _write_rows(rows, args.format, args.out)
-    return 0 if worst < TOLERANCE else 1
+    exact = check.simulated == check.analytic and all(
+        value == 1 for value in check.fidelities.values()
+    )
+    return 0 if exact else 1
 
 
 def _cmd_figure4(args) -> int:
@@ -274,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--target",
         type=int,
         required=True,
-        help="largest actual size N (>= 3) to tabulate",
+        help=f"largest actual size N (3..{_MAX_TARGET}) to tabulate",
     )
     _add_output_flags(cost)
     cost.set_defaults(func=_cmd_cost)

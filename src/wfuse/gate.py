@@ -19,9 +19,15 @@ combined routing, per input branch of the two consumed photons:
 
 A coincidence projects the survivors onto a merged W state; the mixed
 detector patterns ``(D, Dbar)`` and ``(Dbar, D)`` produce it with a
-relative minus sign that a pi-phase shift on one side removes.  All
-comparisons use double precision with a 1e-12 tolerance, generous because
-the amplitude maps here never exceed a few dozen entries.
+relative minus sign that a pi-phase shift on one side removes.
+
+Everything is exact.  A state holds rational amplitudes up to
+normalization (a W state puts amplitude 1 on each weight-one label), and
+every map the gate applies has integer coefficients, so each branch keeps
+integer amplitudes for W inputs.  Probabilities and fidelities are ratios
+of squared norms and squared overlaps, returned as ``Fraction`` values;
+only ``SparseState.amplitude`` and ``SparseState.amplitudes`` take a square
+root, to report normalized floats.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from numbers import Rational
 from typing import Dict, Optional, Tuple
 
 __all__ = [
@@ -44,8 +51,10 @@ __all__ = [
     "COINCIDENCE_PATTERNS",
 ]
 
+# Unused here, where every comparison is exact; exported only because
+# acceptance criterion 06 (tests/test_acceptance.py) imports it to compare
+# the exact values with float closed forms.
 TOLERANCE = 1e-12
-_PRUNE = 1e-15
 
 # Detector breakdown keys: which detectors fired, and the D/Dbar results
 # for coincidences (D1 result first).
@@ -53,13 +62,20 @@ D1_ONLY = "d1_only"
 D2_ONLY = "d2_only"
 COINCIDENCE_PATTERNS = ("dd", "dbar_dbar", "d_dbar", "dbar_d")
 
+Amplitudes = Dict[str, Rational]
+
 
 class SparseState:
-    """Normalized sparse amplitude map over fixed-length H/V labels."""
+    """Sparse real amplitude map over fixed-length H/V labels.
 
-    __slots__ = ("_amps", "_photons")
+    The amplitudes are exact (ints or ``Fraction`` values) and need not be
+    normalized: the state is the ray they span, and the squared norm is
+    cached.  Exact zeros are dropped.
+    """
 
-    def __init__(self, amplitudes: Dict[str, complex]):
+    __slots__ = ("_amps", "_photons", "_norm2")
+
+    def __init__(self, amplitudes: Amplitudes):
         cleaned = {}
         length = None
         for label, amp in amplitudes.items():
@@ -69,101 +85,90 @@ class SparseState:
                 raise ValueError(
                     f"label {label!r} has length {len(label)}, expected {length}"
                 )
-            if any(ch not in "HV" for ch in label):
+            if label.strip("HV"):
                 raise ValueError(f"label {label!r} contains symbols outside H/V")
-            amp = complex(amp)
-            if abs(amp) > _PRUNE:
+            if not isinstance(amp, Rational):
+                raise TypeError(
+                    f"amplitude of {label!r} is not an int or Fraction: {amp!r}"
+                )
+            if amp:
                 cleaned[label] = amp
         if not cleaned:
             raise ValueError("state has no nonzero amplitudes")
-        norm2 = sum(abs(amp) ** 2 for amp in cleaned.values())
-        if abs(norm2 - 1.0) > TOLERANCE:
-            raise ValueError(f"state is not normalized: |psi|^2 = {norm2}")
         self._amps = cleaned
         self._photons = length
+        self._norm2 = _norm2(cleaned)
 
     @property
     def num_photons(self) -> int:
         return self._photons
 
     @property
-    def amplitudes(self) -> Dict[str, complex]:
-        return dict(self._amps)
+    def amplitudes(self) -> Dict[str, float]:
+        """The normalized amplitudes, as floats."""
+        root = math.sqrt(self._norm2)
+        return {label: amp / root for label, amp in self._amps.items()}
 
-    def amplitude(self, label: str) -> complex:
-        return self._amps.get(label, 0j)
+    def amplitude(self, label: str) -> float:
+        """The normalized amplitude of ``label``, as a float."""
+        return self._amps.get(label, 0) / math.sqrt(self._norm2)
 
-    def inner(self, other: "SparseState") -> complex:
-        """Overlap <self|other>; requires equal photon counts."""
-        if self._photons != other._photons:
-            raise ValueError(
-                f"photon counts differ: {self._photons} vs {other._photons}"
-            )
-        return sum(
-            (amp.conjugate() * other._amps[label]
-             for label, amp in self._amps.items()
-             if label in other._amps),
-            start=0j,
-        )
+    def __eq__(self, other) -> bool:
+        # Equal nonempty maps share their labels, hence their photon count.
+        if not isinstance(other, SparseState):
+            return NotImplemented
+        return self._amps == other._amps
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._amps.items()))
 
     def __repr__(self) -> str:
         return f"SparseState({self._photons} photons, {len(self._amps)} terms)"
 
 
-def fidelity(x: SparseState, y: SparseState) -> float:
-    """Squared overlap |<x|y>|^2 in [0, 1]."""
-    return abs(x.inner(y)) ** 2
+def fidelity(x: SparseState, y: SparseState) -> Fraction:
+    """Squared overlap ``<x|y>^2 / (|x|^2 |y|^2)``, exactly, in [0, 1]."""
+    if x._photons != y._photons:
+        raise ValueError(f"photon counts differ: {x._photons} vs {y._photons}")
+    overlap = sum(
+        amp * y._amps[label] for label, amp in x._amps.items() if label in y._amps
+    )
+    return Fraction(overlap * overlap, x._norm2 * y._norm2)
 
 
-def _w_amplitudes(photons: int) -> Dict[str, complex]:
-    amp = 1.0 / math.sqrt(photons)
-    return {
-        "H" * i + "V" + "H" * (photons - 1 - i): complex(amp)
-        for i in range(photons)
-    }
-
-
-def _w_state(photons: int) -> SparseState:
-    return SparseState(_w_amplitudes(photons))
+def _w_amplitudes(photons: int) -> Amplitudes:
+    """``sqrt(photons) |W_photons>``: amplitude 1 on every weight-one label."""
+    return {"H" * i + "V" + "H" * (photons - 1 - i): 1 for i in range(photons)}
 
 
 def make_w_state(photons: int) -> SparseState:
-    """The N-photon W state: 1/sqrt(N) times every weight-one label."""
+    """The N-photon W state: amplitude 1 on every weight-one label."""
     if photons < 2:
         raise ValueError(f"a W state has at least 2 photons, got {photons}")
-    return _w_state(photons)
+    return SparseState(_w_amplitudes(photons))
 
 
-def _norm2(amps: Dict[str, complex]) -> float:
-    return sum(abs(a) ** 2 for a in amps.values())
+def _norm2(amps: Amplitudes) -> Rational:
+    return sum(amp * amp for amp in amps.values())
 
 
-def _normalized(amps: Dict[str, complex]) -> Optional[SparseState]:
-    norm2 = _norm2(amps)
-    if norm2 <= _PRUNE:
-        return None
-    scale = 1.0 / math.sqrt(norm2)
-    return SparseState({label: amp * scale for label, amp in amps.items()})
+def _post_state(amps: Amplitudes) -> Optional[SparseState]:
+    """The state ``amps`` spans, or None if every amplitude is zero."""
+    return SparseState(amps) if any(amps.values()) else None
 
 
-def _split_on_photon(
-    state: SparseState, index: int
-) -> Tuple[Dict[str, complex], Dict[str, complex]]:
+def _split_on_photon(state: SparseState, index: int) -> Tuple[Amplitudes, Amplitudes]:
     """Components with the given photon H resp. V, that photon removed."""
-    h_part: Dict[str, complex] = {}
-    v_part: Dict[str, complex] = {}
-    for label, amp in state.amplitudes.items():
+    h_part: Amplitudes = {}
+    v_part: Amplitudes = {}
+    for label, amp in state._amps.items():
         rest = label[:index] + label[index + 1 :]
-        if label[index] == "H":
-            h_part[rest] = h_part.get(rest, 0j) + amp
-        else:
-            v_part[rest] = v_part.get(rest, 0j) + amp
+        part = h_part if label[index] == "H" else v_part
+        part[rest] = part.get(rest, 0) + amp
     return h_part, v_part
 
 
-def _tensor(
-    left: Dict[str, complex], right: Dict[str, complex]
-) -> Dict[str, complex]:
+def _tensor(left: Amplitudes, right: Amplitudes) -> Amplitudes:
     return {
         la + lb: aa * ab
         for la, aa in left.items()
@@ -171,13 +176,11 @@ def _tensor(
     }
 
 
-def _combine(
-    x: Dict[str, complex], y: Dict[str, complex], sign: float
-) -> Dict[str, complex]:
+def _combine(x: Amplitudes, y: Amplitudes, sign: int) -> Amplitudes:
     out = dict(x)
     for label, amp in y.items():
-        out[label] = out.get(label, 0j) + sign * amp
-    return {label: amp for label, amp in out.items() if abs(amp) > _PRUNE}
+        out[label] = out.get(label, 0) + sign * amp
+    return {label: amp for label, amp in out.items() if amp}
 
 
 class GateReport(
@@ -189,15 +192,15 @@ class GateReport(
 ):
     """Everything one fusion-gate application reveals.
 
-    ``detector_breakdown`` maps detector patterns to probabilities and
-    ``pattern_states`` to the corresponding raw post-measurement states.
-    The mixed coincidence patterns are stored *before* the corrective
-    pi-phase, so their states carry the relative minus sign;
-    ``post_success_state`` is the sign-corrected merged state.  Note the
-    physical detectors only reveal D/Dbar results, not which input branch
-    caused a coincidence; the per-branch states here are simulator
-    introspection.  The ``post_*`` states are None for a branch of
-    probability zero.
+    The probabilities are ``Fraction`` values.  ``detector_breakdown`` maps
+    detector patterns to probabilities and ``pattern_states`` to the
+    corresponding raw post-measurement states.  The mixed coincidence
+    patterns are stored *before* the corrective pi-phase, so their states
+    carry the relative minus sign; ``post_success_state`` is the
+    sign-corrected merged state.  Note the physical detectors only reveal
+    D/Dbar results, not which input branch caused a coincidence; the
+    per-branch states here are simulator introspection.  The ``post_*``
+    states are None for a branch of probability zero.
     """
 
     __slots__ = ()
@@ -220,11 +223,12 @@ def fuse(
     inputs both V photons are gone, leaving an all-H product state).  The
     H,H branch fires D2 alone (recyclable: each input, conditioned on its
     consumed photon being H, shrinks by one photon; W inputs shrink to
-    one-size-smaller W states, returned separately renormalized).  The H,V
-    and V,H branches land one photon in each port; measuring both ports in
-    the D/Dbar basis splits them evenly over the four coincidence
-    patterns, with equal patterns carrying the symmetric survivor
-    combination and mixed patterns the antisymmetric one.
+    one-size-smaller W states, returned separately).  The H,V and V,H
+    branches land one photon in each port; measuring both ports in the
+    D/Dbar basis splits them evenly over the four coincidence patterns,
+    with equal patterns carrying the symmetric survivor combination and
+    mixed patterns the antisymmetric one.  Each pattern projects with
+    amplitude 1/2, hence the factor 4 in their probabilities.
     """
     if a is b:
         raise ValueError("cannot fuse a state with itself")
@@ -242,45 +246,41 @@ def fuse(
     vv = _tensor(a_v, b_v)
     hv = _tensor(a_h, b_v)
     vh = _tensor(a_v, b_h)
-
-    p_failure = _norm2(vv)
-    p_recycle = _norm2(hh)
-    p_success = _norm2(hv) + _norm2(vh)
-
     # |H>_3|H>_4 spreads evenly over all four D/Dbar patterns;
     # |V>_3|V>_4 does too but with a minus sign on the mixed ones.
-    symmetric = _combine(hv, vh, +1.0)
-    antisymmetric = _combine(hv, vh, -1.0)
-    quarter_sym = _norm2(symmetric) / 4.0
-    quarter_anti = _norm2(antisymmetric) / 4.0
+    symmetric = _combine(hv, vh, +1)
+    antisymmetric = _combine(hv, vh, -1)
 
+    norm2 = a._norm2 * b._norm2
+    quarter_sym = Fraction(_norm2(symmetric), 4 * norm2)
+    quarter_anti = Fraction(_norm2(antisymmetric), 4 * norm2)
     breakdown = {
-        D1_ONLY: p_failure,
-        D2_ONLY: p_recycle,
+        D1_ONLY: Fraction(_norm2(vv), norm2),
+        D2_ONLY: Fraction(_norm2(hh), norm2),
         "dd": quarter_sym,
         "dbar_dbar": quarter_sym,
         "d_dbar": quarter_anti,
         "dbar_d": quarter_anti,
     }
-    sym_state = _normalized(symmetric)
-    anti_state = _normalized(antisymmetric)
+    sym_state = _post_state(symmetric)
+    anti_state = _post_state(antisymmetric)
     pattern_states = {
-        D1_ONLY: _normalized(vv),
-        D2_ONLY: _normalized(hh),
+        D1_ONLY: _post_state(vv),
+        D2_ONLY: _post_state(hh),
         "dd": sym_state,
         "dbar_dbar": sym_state,
         "d_dbar": anti_state,
         "dbar_d": anti_state,
     }
 
-    left = _normalized(a_h)
-    right = _normalized(b_h)
+    left = _post_state(a_h)
+    right = _post_state(b_h)
     recycle_states = (left, right) if left is not None and right is not None else None
 
     return GateReport(
-        p_success=p_success,
-        p_recycle=p_recycle,
-        p_failure=p_failure,
+        p_success=Fraction(_norm2(hv) + _norm2(vh), norm2),
+        p_recycle=breakdown[D2_ONLY],
+        p_failure=breakdown[D1_ONLY],
         post_success_state=sym_state,
         post_recycle_states=recycle_states,
         post_failure_state=pattern_states[D1_ONLY],
@@ -297,8 +297,9 @@ class GateCheck(
 ):
     """Amplitude-simulated branch probabilities against the closed forms.
 
-    ``analytic`` (exact), ``simulated`` and ``fidelities`` map each branch
-    name to its value.
+    ``analytic``, ``simulated`` and ``fidelities`` map each branch name to
+    its exact ``Fraction`` value; ``max_abs_error`` is the largest
+    ``|simulated - analytic|``.
     """
 
     __slots__ = ()
@@ -311,7 +312,8 @@ def verify_probabilities(n_photons: int, m_photons: int) -> GateCheck:
     ``(N+M-2)/NM``, recyclable ``(N-1)(M-1)/NM``, failure ``1/NM``.  The
     fidelity entries check the post-measurement states: the merged state
     against ``W_{N+M-2}``, each recycled part against the one-smaller W
-    state, and the failure remainder against the all-H product.
+    state (a single V photon for a Bell pair), and the failure remainder
+    against the all-H product.
     """
     if n_photons < 2 or m_photons < 2:
         raise ValueError("W states need at least 2 photons")
@@ -327,62 +329,43 @@ def verify_probabilities(n_photons: int, m_photons: int) -> GateCheck:
         "recycle": report.p_recycle,
         "failure": report.p_failure,
     }
-    merged = _w_state(n_photons + m_photons - 2)
     left, right = report.post_recycle_states
     survivors = "H" * (n_photons + m_photons - 2)
     fidelities = {
-        "success": fidelity(report.post_success_state, merged),
-        "recycle": min(
-            fidelity(left, _w_state(n_photons - 1)),
-            fidelity(right, _w_state(m_photons - 1)),
+        "success": fidelity(
+            report.post_success_state, make_w_state(n_photons + m_photons - 2)
         ),
-        "failure": fidelity(report.post_failure_state, SparseState({survivors: 1.0})),
+        "recycle": min(
+            fidelity(left, SparseState(_w_amplitudes(n_photons - 1))),
+            fidelity(right, SparseState(_w_amplitudes(m_photons - 1))),
+        ),
+        "failure": fidelity(report.post_failure_state, SparseState({survivors: 1})),
     }
-    max_abs_error = max(
-        abs(float(analytic[branch]) - simulated[branch]) for branch in analytic
-    )
     return GateCheck(
         n_photons=n_photons,
         m_photons=m_photons,
         analytic=analytic,
         simulated=simulated,
         fidelities=fidelities,
-        max_abs_error=max_abs_error,
+        max_abs_error=max(abs(simulated[b] - analytic[b]) for b in analytic),
     )
 
 
 def check_decomposition(total: int, split: int) -> bool:
     """Check the W-state splitting identity used by the coincidence branch.
 
-    Compares amplitudes of ``sqrt(k) |W_k>`` against
+    Compares the integer amplitude maps of ``sqrt(k) |W_k>`` and
     ``sqrt(i) |W_i>|(k-i)_H> + sqrt(k-i) |i_H>|W_{k-i}>`` for ``k = total``
     and ``i = split``; at the boundaries one factor degenerates to the
-    single V photon.  Returns True when every amplitude matches within
-    1e-12.
+    single V photon.  Returns True when the maps are equal.
     """
     if total < 2:
         raise ValueError(f"need a splittable state, got {total} photons")
     if not 1 <= split <= total - 1:
         raise ValueError(f"split {split} out of range 1..{total - 1}")
-    lhs = {
-        label: amp * math.sqrt(total)
-        for label, amp in _w_amplitudes(total).items()
-    }
-    left = {
-        label: amp * math.sqrt(split)
-        for label, amp in _w_amplitudes(split).items()
-    }
-    right = {
-        label: amp * math.sqrt(total - split)
-        for label, amp in _w_amplitudes(total - split).items()
-    }
     rhs = _combine(
-        _tensor(left, {"H" * (total - split): 1.0 + 0j}),
-        _tensor({"H" * split: 1.0 + 0j}, right),
-        +1.0,
+        _tensor(_w_amplitudes(split), {"H" * (total - split): 1}),
+        _tensor({"H" * split: 1}, _w_amplitudes(total - split)),
+        +1,
     )
-    labels = set(lhs) | set(rhs)
-    return all(
-        abs(lhs.get(label, 0j) - rhs.get(label, 0j)) <= TOLERANCE
-        for label in labels
-    )
+    return _w_amplitudes(total) == rhs

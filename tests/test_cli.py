@@ -2,10 +2,12 @@ import json
 import subprocess
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import wfuse.cli
 import wfuse.simulate
 from wfuse.cli import _csv_lines, main
 from wfuse.growth_costs import linear_recycled_costs, w3_linear_cost
@@ -70,6 +72,16 @@ class TestCostCommand:
 
     def test_rejects_tiny_target(self, capsys):
         assert main(["cost", "--strategy", "optimal", "--target", "2"]) == 2
+
+    @pytest.mark.parametrize(
+        "strategy", ["linear", "linear-recycled", "optimal", "exponential"]
+    )
+    def test_rejects_target_above_the_bound(self, capsys, strategy):
+        target = str(wfuse.cli._MAX_TARGET + 1)
+        assert main(["cost", "--strategy", strategy, "--target", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("wfuse: error: --target must be")
 
     def test_json_mirrors_csv_fields(self, capsys):
         code, csv_out = run_cli(capsys, "cost", "--strategy", "optimal", "--target", "4")
@@ -234,9 +246,9 @@ class TestVerifyGateCommand:
         rows = parse_csv(out)
         assert [r["branch"] for r in rows] == ["success", "recycle", "failure"]
         success = rows[0]
-        assert float(success["analytic"]) == pytest.approx(4 / 9)
-        assert float(success["abs_error"]) < 1e-12
-        assert float(success["fidelity"]) == pytest.approx(1)
+        assert float(success["analytic"]) == 4 / 9
+        assert success["simulated"] == success["analytic"]
+        assert (success["abs_error"], success["fidelity"]) == ("0", "1")
 
     def test_bell_pair_column(self, capsys):
         code, out = run_cli(capsys, "verify-gate", "--n", "2", "--m", "5")
@@ -248,7 +260,29 @@ class TestVerifyGateCommand:
         code, out = run_cli(capsys, "verify-gate", "--n", "3", "--m", "4")
         assert code == 0
         rows = parse_csv(out)
-        assert float(rows[0]["fidelity"]) == pytest.approx(1, abs=1e-12)
+        assert rows[0]["fidelity"] == "1"
+
+    def test_largest_sizes_exact_bytes(self, capsys):
+        code, out = run_cli(capsys, "verify-gate", "--n", "12", "--m", "12")
+        assert code == 0
+        assert out == (
+            "N,M,branch,analytic,simulated,abs_error,fidelity\n"
+            "12,12,success,0.15277777777777779,0.15277777777777779,0,1\n"
+            "12,12,recycle,0.84027777777777779,0.84027777777777779,0,1\n"
+            "12,12,failure,0.0069444444444444441,0.0069444444444444441,0,1\n"
+        )
+
+    def test_any_deviation_exits_one(self, capsys, monkeypatch):
+        exact = wfuse.cli.verify_probabilities(3, 3)
+        simulated = dict(exact.simulated)
+        simulated["failure"] += Fraction(1, 10**30)
+        monkeypatch.setattr(
+            wfuse.cli, "verify_probabilities",
+            lambda n, m: exact._replace(simulated=simulated),
+        )
+        code, out = run_cli(capsys, "verify-gate", "--n", "3", "--m", "3")
+        assert code == 1
+        assert parse_csv(out)[2]["abs_error"] == "1.0000000000000001e-30"
 
     def test_out_of_range_sizes(self, capsys):
         assert main(["verify-gate", "--n", "13", "--m", "3"]) == 2

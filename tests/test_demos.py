@@ -14,9 +14,20 @@ def load(path):
     return runpy.run_path(str(path), run_name="demo")
 
 
-@pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")), ids=lambda p: p.stem)
+each_demo = pytest.mark.parametrize(
+    "path", sorted(DEMOS.glob("*.py")), ids=lambda p: p.stem
+)
+
+
+@each_demo
 def test_demo_loads(path):
     assert callable(load(path)["main"])
+
+
+@each_demo
+def test_demo_runs(path, capsys):
+    load(path)["main"]()
+    assert capsys.readouterr().out
 
 
 def test_traced_run_agrees_with_kernel():

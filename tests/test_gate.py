@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +7,6 @@ from wfuse.fusion_model import outcome_distribution
 from wfuse.gate import (
     COINCIDENCE_PATTERNS,
     SparseState,
-    TOLERANCE,
     check_decomposition,
     fidelity,
     fuse,
@@ -14,26 +14,17 @@ from wfuse.gate import (
     verify_probabilities,
 )
 
-INV_SQRT2 = 1 / math.sqrt(2)
-
 
 def product_state(label: str) -> SparseState:
-    return SparseState({label: 1.0})
-
-
-def w_amplitudes(photons: int) -> dict:
-    amp = 1 / math.sqrt(photons)
-    return {
-        "H" * i + "V" + "H" * (photons - 1 - i): amp for i in range(photons)
-    }
+    return SparseState({label: 1})
 
 
 class TestSparseState:
     def test_bell_pair(self):
         state = make_w_state(2)
         assert state.num_photons == 2
-        assert state.amplitude("HV") == pytest.approx(INV_SQRT2)
-        assert state.amplitude("VH") == pytest.approx(INV_SQRT2)
+        assert state.amplitude("HV") == pytest.approx(1 / math.sqrt(2))
+        assert state.amplitude("VH") == pytest.approx(1 / math.sqrt(2))
         assert state.amplitude("HH") == 0
 
     def test_three_photons(self):
@@ -48,32 +39,46 @@ class TestSparseState:
         with pytest.raises(ValueError):
             make_w_state(1)
 
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            SparseState({"HV": 1.0, "VH": 1.0})
+    def test_unnormalized_amplitudes_span_the_same_state(self):
+        assert fidelity(SparseState({"HV": 1, "VH": 1}), make_w_state(2)) == 1
+
+    @pytest.mark.parametrize("amp", [1j, 0.5])
+    def test_rejects_inexact_amplitudes(self, amp):
+        with pytest.raises(TypeError):
+            SparseState({"HV": amp, "VH": 1})
+
+    def test_fraction_amplitudes(self):
+        state = SparseState({"HV": Fraction(1, 2), "VH": Fraction(-1, 4)})
+        assert fidelity(state, product_state("HV")) == Fraction(4, 5)
 
     def test_rejects_ragged_labels(self):
         with pytest.raises(ValueError):
-            SparseState({"HV": INV_SQRT2, "VHH": INV_SQRT2})
+            SparseState({"HV": 1, "VHH": 1})
 
     def test_rejects_bad_symbols(self):
         with pytest.raises(ValueError):
-            SparseState({"HX": 1.0})
+            SparseState({"HX": 1})
 
     def test_prunes_zero_amplitudes(self):
-        state = SparseState({"HV": 1.0, "VH": 0.0})
+        state = SparseState({"HV": 1, "VH": 0})
         assert "VH" not in state.amplitudes
+
+    def test_equality_compares_amplitude_maps(self):
+        assert make_w_state(3) == SparseState({"HHV": 1, "HVH": 1, "VHH": 1})
+        assert hash(make_w_state(3)) == hash(make_w_state(3))
+        assert make_w_state(3) != SparseState({"HHV": 2, "HVH": 2, "VHH": 2})
+        assert make_w_state(3) != make_w_state(4)
 
 
 class TestFidelity:
     def test_identical_states(self):
-        assert fidelity(make_w_state(3), make_w_state(3)) == pytest.approx(1)
+        assert fidelity(make_w_state(3), make_w_state(3)) == 1
 
     def test_orthogonal_states(self):
         assert fidelity(product_state("HHH"), make_w_state(3)) == 0
 
     def test_half_overlap(self):
-        assert fidelity(make_w_state(2), product_state("HV")) == pytest.approx(0.5)
+        assert fidelity(make_w_state(2), product_state("HV")) == Fraction(1, 2)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -83,110 +88,79 @@ class TestFidelity:
 class TestFuseOnWStates:
     def test_six_photon_example(self):
         report = fuse(make_w_state(3), make_w_state(3))
-        assert report.p_success == pytest.approx(4 / 9, abs=TOLERANCE)
-        assert report.p_failure == pytest.approx(1 / 9, abs=TOLERANCE)
-        assert fidelity(report.post_success_state, make_w_state(4)) == pytest.approx(
-            1, abs=TOLERANCE
-        )
-        assert fidelity(report.post_failure_state, product_state("HHHH")) == (
-            pytest.approx(1, abs=TOLERANCE)
-        )
+        assert report.p_success == Fraction(4, 9)
+        assert report.p_failure == Fraction(1, 9)
+        assert fidelity(report.post_success_state, make_w_state(4)) == 1
+        assert fidelity(report.post_failure_state, product_state("HHHH")) == 1
 
     def test_bell_pair_fusion_does_not_expand(self):
         for photons in range(2, 8):
             report = fuse(make_w_state(2), make_w_state(photons))
-            assert report.p_success == pytest.approx(0.5, abs=TOLERANCE)
-            target = make_w_state(photons)
-            assert fidelity(report.post_success_state, target) == pytest.approx(
-                1, abs=TOLERANCE
-            )
-            for label, amp in report.post_success_state.amplitudes.items():
-                assert amp == pytest.approx(target.amplitude(label), abs=1e-12)
+            assert report.p_success == Fraction(1, 2)
+            assert report.post_success_state == make_w_state(photons)
 
     def test_recycle_posts_are_shrunk_w_states(self):
         report = fuse(make_w_state(4), make_w_state(5))
-        assert report.p_recycle == pytest.approx(12 / 20, abs=TOLERANCE)
-        left, right = report.post_recycle_states
-        assert fidelity(left, make_w_state(3)) == pytest.approx(1, abs=TOLERANCE)
-        assert fidelity(right, make_w_state(4)) == pytest.approx(1, abs=TOLERANCE)
+        assert report.p_recycle == Fraction(12, 20)
+        assert report.post_recycle_states == (make_w_state(3), make_w_state(4))
 
     def test_probability_grid_against_closed_forms(self):
         for n in range(2, 9):
             for m in range(2, 9):
                 report = fuse(make_w_state(n), make_w_state(m))
-                assert report.p_success == pytest.approx(
-                    (n + m - 2) / (n * m), abs=TOLERANCE
-                )
-                assert report.p_recycle == pytest.approx(
-                    (n - 1) * (m - 1) / (n * m), abs=TOLERANCE
-                )
-                assert report.p_failure == pytest.approx(1 / (n * m), abs=TOLERANCE)
-                total = sum(report.detector_breakdown.values())
-                assert total == pytest.approx(1, abs=TOLERANCE)
+                assert report.p_success == Fraction(n + m - 2, n * m)
+                assert report.p_recycle == Fraction((n - 1) * (m - 1), n * m)
+                assert report.p_failure == Fraction(1, n * m)
+                assert sum(report.detector_breakdown.values()) == 1
 
     def test_coincidence_patterns_are_equiprobable(self):
         for n in range(2, 9):
             for m in range(2, 9):
                 report = fuse(make_w_state(n), make_w_state(m))
-                expected = (n + m - 2) / (4 * n * m)
+                expected = Fraction(n + m - 2, 4 * n * m)
                 for pattern in COINCIDENCE_PATTERNS:
-                    assert report.detector_breakdown[pattern] == pytest.approx(
-                        expected, abs=TOLERANCE
-                    )
+                    assert report.detector_breakdown[pattern] == expected
 
     def test_post_success_fidelity_on_grid(self):
         for n in range(2, 9):
             for m in range(2, 9):
                 report = fuse(make_w_state(n), make_w_state(m))
-                target = make_w_state(n + m - 2)
-                assert fidelity(report.post_success_state, target) >= 1 - TOLERANCE
+                assert report.post_success_state == make_w_state(n + m - 2)
 
     def test_matches_index_shifted_outcome_model(self):
         for n in range(2, 9):
             for m in range(2, 9):
                 dist = outcome_distribution(n - 2, m - 2)
                 report = fuse(make_w_state(n), make_w_state(m))
-                assert report.p_success == pytest.approx(
-                    float(dist.p_success), abs=TOLERANCE
-                )
-                assert report.p_recycle == pytest.approx(
-                    float(dist.p_recycle), abs=TOLERANCE
-                )
-                assert report.p_failure == pytest.approx(
-                    float(dist.p_failure), abs=TOLERANCE
-                )
+                assert report.p_success == dist.p_success
+                assert report.p_recycle == dist.p_recycle
+                assert report.p_failure == dist.p_failure
 
     def test_mixed_patterns_carry_the_sign_flip(self):
         n, m = 3, 5
         report = fuse(make_w_state(n), make_w_state(m))
         merged = n + m - 2
         # antisymmetric survivor combination, built from scratch
-        expected = {}
-        for label, amp in w_amplitudes(n - 1).items():
-            expected[label + "H" * (m - 1)] = math.sqrt(n - 1) * amp
-        for label, amp in w_amplitudes(m - 1).items():
-            expected["H" * (n - 1) + label] = -math.sqrt(m - 1) * amp
-        scale = 1 / math.sqrt(merged)
-        flipped = SparseState({k: v * scale for k, v in expected.items()})
+        flipped = {}
+        for i in range(n - 1):
+            flipped["H" * i + "V" + "H" * (merged - 1 - i)] = 1
+        for i in range(n - 1, merged):
+            flipped["H" * i + "V" + "H" * (merged - 1 - i)] = -1
         raw_mixed = report.pattern_states["d_dbar"]
-        assert fidelity(raw_mixed, flipped) == pytest.approx(1, abs=TOLERANCE)
+        assert raw_mixed == SparseState(flipped)
         # before the corrective pi-phase, overlap with the true target is low
         overlap = fidelity(raw_mixed, make_w_state(merged))
-        assert overlap == pytest.approx(((n - m) / merged) ** 2, abs=TOLERANCE)
+        assert overlap == Fraction(n - m, merged) ** 2
 
     def test_mixed_pattern_orthogonal_for_equal_sizes(self):
         report = fuse(make_w_state(4), make_w_state(4))
-        assert fidelity(
-            report.pattern_states["dbar_d"], make_w_state(6)
-        ) == pytest.approx(0, abs=TOLERANCE)
+        assert fidelity(report.pattern_states["dbar_d"], make_w_state(6)) == 0
 
     def test_explicit_photon_choice_is_equivalent_for_w_states(self):
         default = fuse(make_w_state(4), make_w_state(3))
         chosen = fuse(make_w_state(4), make_w_state(3), qubit_a=0, qubit_b=1)
-        assert default.p_success == pytest.approx(chosen.p_success, abs=TOLERANCE)
-        assert fidelity(
-            default.post_success_state, chosen.post_success_state
-        ) == pytest.approx(1, abs=TOLERANCE)
+        assert default.p_success == chosen.p_success
+        assert default.post_success_state == chosen.post_success_state
 
     def test_fuse_rejects_same_object(self):
         state = make_w_state(3)
@@ -203,17 +177,24 @@ class TestFuseOnWStates:
 class TestVerifyProbabilities:
     def test_small_pair(self):
         check = verify_probabilities(2, 2)
-        assert check.analytic["success"] == 0.5
-        assert check.analytic["recycle"] == 0.25
-        assert check.analytic["failure"] == 0.25
-        assert check.max_abs_error < TOLERANCE
+        assert check.analytic["success"] == Fraction(1, 2)
+        assert check.analytic["recycle"] == Fraction(1, 4)
+        assert check.analytic["failure"] == Fraction(1, 4)
+        assert check.max_abs_error == 0
 
     @pytest.mark.parametrize("sizes", [(3, 3), (8, 7), (2, 5)])
     def test_deviations_are_tiny(self, sizes):
         check = verify_probabilities(*sizes)
-        assert check.max_abs_error < TOLERANCE
-        for value in check.fidelities.values():
-            assert value == pytest.approx(1, abs=TOLERANCE)
+        assert check.simulated == check.analytic
+        assert check.max_abs_error == 0
+        assert all(value == 1 for value in check.fidelities.values())
+
+    def test_exact_on_the_whole_cli_range(self):
+        for n in range(2, 13):
+            for m in range(2, 13):
+                check = verify_probabilities(n, m)
+                assert check.simulated == check.analytic
+                assert all(value == 1 for value in check.fidelities.values())
 
     def test_rejects_tiny_states(self):
         with pytest.raises(ValueError):

@@ -78,3 +78,7 @@ def test_outcome_distribution_by_keyword():
     )
     assert dist.p_recycle == Fraction(1, 4)
 
+
+def test_gate_records_compare_by_value():
+    assert fuse(make_w_state(3), make_w_state(3)) == fuse(make_w_state(3), make_w_state(3))
+    assert verify_probabilities(3, 3) == verify_probabilities(3, 3)
