@@ -11,7 +11,8 @@ The CLI speaks in actual photon counts (``N >= 3``); conversion to the
 library's additive index ``n = N - 2`` happens only here.  Every output is
 a pure function of the flag set, seeds included: rerunning a command
 reproduces it byte for byte.  Exit codes: 0 success, 1 verification
-failure or a Monte Carlo run over its step budget, 2 usage error.
+failure or a Monte Carlo run over its step budget, 2 usage error, an
+output path that cannot be opened for writing included.
 """
 
 from __future__ import annotations
@@ -57,13 +58,24 @@ def _csv_lines(rows: Iterable[dict]) -> Iterator[str]:
         yield ",".join(_cell(row[key]) for key in header) + "\n"
 
 
+class _OutputError(Exception):
+    """An output path that cannot be opened for writing."""
+
+
+def _open_output(path: str):
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _write_rows(rows: Iterable[dict], fmt: str, out: Optional[str]) -> None:
     """Write ``rows`` (dicts with the same keys) to ``out`` or stdout.
 
     CSV is written row by row as ``rows`` yields them, so a generator of
     rows never has the whole table in memory; JSON needs the whole list.
     """
-    handle = open(out, "w", newline="") if out else sys.stdout
+    handle = _open_output(out) if out else sys.stdout
     try:
         if fmt == "csv":
             handle.writelines(_csv_lines(rows))
@@ -157,6 +169,16 @@ def _cmd_simulate(args) -> int:
         stats = simulate_batch(args.k, args.runs, args.seed, workers=args.workers)
     except RuntimeError as exc:
         return _run_error(exc)
+    if args.dump_runs:
+        # Written before the stats row, so that an unwritable path leaves
+        # stdout empty.  Every cell is an int, so the rows that _csv_lines
+        # would render are formatted directly.
+        with _open_output(args.dump_runs) as handle:
+            handle.write("run,cost,final_N\n")
+            handle.writelines(
+                f"{i},{cost},{size + 2}\n"
+                for i, (cost, size) in enumerate(zip(stats.costs, stats.final_sizes))
+            )
     rows = [
         {
             "k": stats.k,
@@ -171,15 +193,6 @@ def _cmd_simulate(args) -> int:
         }
     ]
     _write_rows(rows, args.format, args.out)
-    if args.dump_runs:
-        # Every cell is an int, so the rows that _csv_lines would render are
-        # formatted directly.
-        with open(args.dump_runs, "w", newline="") as handle:
-            handle.write("run,cost,final_N\n")
-            handle.writelines(
-                f"{i},{cost},{size + 2}\n"
-                for i, (cost, size) in enumerate(zip(stats.costs, stats.final_sizes))
-            )
     return 0
 
 
@@ -322,16 +335,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    try:
+        return args.func(args)
+    except _OutputError as exc:
+        return _usage_error(str(exc))
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if not hasattr(sys, "set_int_max_str_digits"):
-        return args.func(args)
+        return _run(args)
     # Exact costs pass the default 4300-digit cap on int -> str conversion
     # (linear growth at N = 9014); lift it while this command runs.
     cap = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        return _run(args)
     finally:
         sys.set_int_max_str_digits(cap)
 

@@ -46,7 +46,6 @@ from operator import mul
 
 from .fusion_model import (
     BRANCHES,
-    FAILURE,
     RECYCLE,
     SUCCESS,
     classify_uniform,
@@ -126,25 +125,10 @@ def _apply_branch(sets, xi, n, m, branch, k):
     if branch == RECYCLE:
         # Parts shrink by one; an index-0 part is a Bell pair and is dropped.
         if n > 1:
-            sets[(n - 2).bit_length()].append(n - 1)
+            sets[bucket_index(n - 1)].append(n - 1)
         if m > 1:
-            sets[(m - 2).bit_length()].append(m - 1)
+            sets[bucket_index(m - 1)].append(m - 1)
     return None, xi
-
-
-def _check_membership(sets) -> None:
-    for l, bucket in enumerate(sets):
-        for size in bucket:
-            assert bucket_index(size) == l, (
-                f"w_{size} stored in S_{l}, belongs in S_{bucket_index(size)}"
-            )
-
-
-def _check_ledger(sets, c0, c1, cost, final, recycles, failure_loss) -> None:
-    remaining = c0 + 2 * c1 + sum(sum(s) for s in sets)
-    assert cost == remaining + final + 2 * recycles + failure_loss, (
-        "size-index ledger out of balance"
-    )
 
 
 def _over_budget(rng, attempts, max_steps, k) -> RuntimeError:
@@ -168,17 +152,13 @@ def run_similar_sizes(
     k: int,
     rng,
     *,
-    audit: bool = False,
     max_steps: int = DEFAULT_STEP_BUDGET,
 ) -> RunResult:
     """One seeded run of the similar-sizes strategy targeting bucket k+1.
 
     Terminates (with probability 1) on the first success of a fusion in
     ``S_k``, producing a state of index ``> 2^k``, i.e. actual photon count
-    ``>= 2^k + 3``.  With ``audit=True`` the bucket-membership rule is
-    checked after every step and the size-index ledger is verified at
-    termination (every draw adds 1, success conserves, recycle loses exactly
-    2 with Bell-pair discards included, failure loses both operands).
+    ``>= 2^k + 3``.
 
     ``max_steps`` bounds draws + fusion attempts; exceeding it raises
     ``RuntimeError`` and signals a bug, not an expected outcome.
@@ -196,8 +176,10 @@ def run_similar_sizes(
     their states does not matter and they are kept as counts ``c0`` and
     ``c1``; the fusions there run in an inner loop on the counts, and only
     ``S_2`` and up are FIFO lists.  :func:`trace_similar_sizes` states the
-    same rules plainly, one attempt at a time, and the test suite holds the
-    two to identical results and identical final stream states.
+    same rules plainly, one attempt at a time.  The test suite asserts the
+    bucket-membership rule and the size-index ledger at every step of the
+    trace, and holds this kernel to the trace: identical results and
+    identical final stream states.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -206,7 +188,6 @@ def run_similar_sizes(
     xi = 0
     cost = 0
     attempts = successes = recycles = failures = 0
-    failure_loss = 0
     draws = rng.draws53()
     for u in draws:
         while xi > 1 and len(sets[xi]) < 2:  # step 2 above S_1
@@ -218,31 +199,23 @@ def run_similar_sizes(
                 if c1 < 2:
                     # Fusions in S_0 until the first success; both of its
                     # non-success branches lose both operands.
-                    if c0 < 2:  # step 2 at xi = 0
-                        cost += 2 - c0
-                        c0 = 2
-                    if cost + attempts > max_steps:
-                        raise _over_budget(rng, attempts, max_steps, k)
-                    while u >= _S0_SUCCESS:
-                        attempts += 1
-                        if u < _S0_RECYCLE:
-                            recycles += 1
-                        else:
-                            failures += 1
-                            failure_loss += 2
-                        c0 -= 2
-                        if c0 < 2:
+                    while True:
+                        if c0 < 2:  # step 2 at xi = 0
                             cost += 2 - c0
                             c0 = 2
                         if cost + attempts > max_steps:
                             raise _over_budget(rng, attempts, max_steps, k)
+                        attempts += 1
+                        c0 -= 2
+                        if u < _S0_SUCCESS:
+                            break
+                        if u < _S0_RECYCLE:
+                            recycles += 1
+                        else:
+                            failures += 1
                         u = next(draws)
-                    attempts += 1
                     successes += 1
-                    c0 -= 2
                     if not k:
-                        if audit:
-                            _check_ledger(sets, c0, c1, cost, 2, recycles, failure_loss)
                         rng.skip(attempts)
                         return RunResult(cost, 2, attempts, successes, recycles, failures)
                     c1 += 1
@@ -255,8 +228,6 @@ def run_similar_sizes(
                     if u < _S1_SUCCESS:
                         successes += 1
                         if k == 1:
-                            if audit:
-                                _check_ledger(sets, c0, c1, cost, 4, recycles, failure_loss)
                             rng.skip(attempts)
                             return RunResult(
                                 cost, 4, attempts, successes, recycles, failures
@@ -269,7 +240,6 @@ def run_similar_sizes(
                         c0 += 2
                     else:
                         failures += 1
-                        failure_loss += 4
                 u = next(draws)
         else:
             if cost + attempts > max_steps:
@@ -283,12 +253,9 @@ def run_similar_sizes(
             if lhs < success_num:
                 successes += 1
                 if xi == k:
-                    final = n + m
-                    if audit:
-                        _check_ledger(sets, c0, c1, cost, final, recycles, failure_loss)
                     rng.skip(attempts)
                     return RunResult(
-                        cost, final, attempts, successes, recycles, failures
+                        cost, n + m, attempts, successes, recycles, failures
                     )
                 sets[xi + 1].append(n + m)
                 xi += 1
@@ -306,9 +273,6 @@ def run_similar_sizes(
                     sets[(m - 2).bit_length()].append(m - 1)
             else:
                 failures += 1
-                failure_loss += n + m
-        if audit:
-            _check_membership(sets)
 
 
 def trace_similar_sizes(k: int, rng, *, max_steps: int = DEFAULT_STEP_BUDGET):
@@ -474,9 +438,10 @@ def exact_expected_cost(k: int) -> Fraction:
     Enumerates every reachable machine configuration at fusion time (the
     deterministic step-2 stretches between fusions are collapsed into the
     transition costs), then solves the resulting absorbing-chain linear
-    system exactly over rationals.  The state space grows quickly with k,
-    so this brute-force oracle is limited to ``k <= 2`` by design; it
-    exists to validate the Monte Carlo path.
+    system exactly over rationals.  It exists to validate the Monte Carlo
+    path.  It is limited to ``k <= 2`` because the elimination runs in
+    breadth-first state order, which fills in the system: with the limit
+    lifted, k = 5 took 71.7 s.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -487,55 +452,37 @@ def exact_expected_cost(k: int) -> Fraction:
     initial_draws, start_xi = _settle(start_sets, 0)
     start_key = (tuple(map(tuple, start_sets)), start_xi)
 
+    # Breadth-first: the loop also visits the states it appends to order.
+    # Row i states E_i = sum_branches p * (draws + E_next), absorbing on
+    # terminal success.
     index = {start_key: 0}
     order = [start_key]
-    transitions = []
-    pos = 0
-    while pos < len(order):
-        sets_key, xi = order[pos]
-        pos += 1
+    rows: list[dict[int, Fraction]] = []
+    rhs: list[Fraction] = []
+    for i, (sets_key, xi) in enumerate(order):
         popped = [list(s) for s in sets_key]
-        n = popped[xi][0]
-        m = popped[xi][1]
+        n, m = popped[xi][:2]
         del popped[xi][:2]
-        dist = outcome_distribution(n, m)
-        entry = []
-        for branch, p in (
-            (SUCCESS, dist.p_success),
-            (RECYCLE, dist.p_recycle),
-            (FAILURE, dist.p_failure),
-        ):
+        row = {i: Fraction(1)}
+        total = Fraction(0)
+        for branch, p in zip(BRANCHES, outcome_distribution(n, m)):
             nxt = [list(s) for s in popped]
             final, xi2 = _apply_branch(nxt, xi, n, m, branch, k)
             if final is not None:
-                entry.append((p, 0, None))
                 continue
             draws, xi3 = _settle(nxt, xi2)
+            total += p * draws
             key = (tuple(map(tuple, nxt)), xi3)
-            j = index.get(key)
-            if j is None:
-                j = len(order)
-                index[key] = j
+            j = index.setdefault(key, len(order))
+            if j == len(order):
                 order.append(key)
-            entry.append((p, draws, j))
-        transitions.append(entry)
-        if len(order) > 100_000:
-            raise RuntimeError("similar-sizes chain state space blew up")
-
-    # E_i = sum_branches p * (draws + E_next), absorbing on terminal success.
-    size = len(order)
-    rows: list[dict[int, Fraction]] = [{} for _ in range(size)]
-    rhs = [Fraction(0)] * size
-    for i, entry in enumerate(transitions):
-        row = rows[i]
-        row[i] = Fraction(1)
-        for p, draws, j in entry:
-            if draws:
-                rhs[i] += p * draws
-            if j is not None:
-                row[j] = row.get(j, Fraction(0)) - p
+            row[j] = row.get(j, 0) - p
         if row[i] == 0:
             del row[i]
+        rows.append(row)
+        rhs.append(total)
+        if len(order) > 100_000:
+            raise RuntimeError("similar-sizes chain state space blew up")
     expected = _solve_sparse_rational(rows, rhs)
     return initial_draws + expected[0]
 

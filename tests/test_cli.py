@@ -151,6 +151,16 @@ class TestCostCommand:
         assert code == 0 and out == ""
         assert path.read_text().startswith("N,strategy,")
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        argv = ["cost", "--strategy", "optimal", "--target", "10", "--out", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"wfuse: error: cannot write {path}: No such file or directory\n"
+        )
+
 
 class TestSimulateCommand:
     def test_stats_row(self, capsys):
@@ -204,6 +214,16 @@ class TestSimulateCommand:
             for i, (cost, size) in enumerate(zip(stats.costs, stats.final_sizes))
         )
         assert path.read_bytes() == "".join(_csv_lines(rows)).encode()
+
+    def test_unwritable_dump_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "d.csv"
+        argv = ["simulate", "--k", "0", "--runs", "3", "--seed", "1", "--dump-runs", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"wfuse: error: cannot write {path}: No such file or directory\n"
+        )
 
     @pytest.mark.parametrize("command", ["simulate", "figure4"])
     def test_step_budget_overrun_exits_one(self, capsys, monkeypatch, tmp_path, command):

@@ -2,6 +2,7 @@ import math
 import random
 import statistics
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,6 +147,42 @@ class TestBuckets:
             bucket_index(0)
 
 
+def threshold_words(n, m):
+    """The 53-bit draws one below and at each branch threshold of ``(w_n, w_m)``."""
+    denom = (n + 2) * (m + 2)
+    words = []
+    for num in (n + m + 2, n + m + 2 + (n + 1) * (m + 1)):
+        edge = -(-(num << 53) // denom)
+        words += [edge - 1, edge]
+    return words
+
+
+def run_or_error(run, k, stream, max_steps):
+    """The result of one run, or the message of its ``RuntimeError``."""
+    try:
+        return run(k, stream, max_steps=max_steps)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+class ScriptedStream:
+    """A stand-in for :class:`SplitMix64` whose 53-bit draws are ``words``."""
+
+    def __init__(self, words):
+        self.words = words
+        self.used = 0
+
+    def draws53(self):
+        return iter(self.words[self.used :])
+
+    def skip(self, count):
+        self.used += count
+
+    def random(self):
+        self.used += 1
+        return self.words[self.used - 1] * 2.0**-53
+
+
 class TestSimilarSizesRuns:
     def test_fast_loop_matches_reference(self):
         # k = 1 runs only in S_0 and S_1, the two buckets kept as counts.
@@ -154,7 +191,7 @@ class TestSimilarSizesRuns:
                 seed_stream = stream_for_run(905, i + 100 * k)
                 ref_stream = stream_for_run(905, i + 100 * k)
                 start = seed_stream._state
-                result = run_similar_sizes(k, seed_stream, audit=True)
+                result = run_similar_sizes(k, seed_stream)
                 assert result == _run_reference(k, ref_stream)
                 assert seed_stream._state == ref_stream._state
                 assert seed_stream._state == (start + result.fusion_attempts * _GOLDEN) & MASK64
@@ -165,12 +202,25 @@ class TestSimilarSizesRuns:
             outcomes = []
             for run in (run_similar_sizes, _run_reference):
                 stream = stream_for_run(6007, k)
-                try:
-                    outcome = run(k, stream, max_steps=max_steps)
-                except RuntimeError as exc:
-                    outcome = str(exc)
-                outcomes.append((outcome, stream._state))
+                outcomes.append((run_or_error(run, k, stream, max_steps), stream._state))
             assert outcomes[0] == outcomes[1], max_steps
+
+    def test_threshold_draws_match_reference(self):
+        # Every draw sits at a branch threshold of a fusion in S_0 to S_3,
+        # where the kernel's inlined comparisons and classify_uniform must
+        # agree exactly; (2, 2) and (6, 6) have thresholds that are exact
+        # multiples of their denominator.
+        pairs = ((1, 1), (2, 2), (3, 3), (3, 4), (4, 4), (6, 6))
+        words = [w for n, m in pairs for w in threshold_words(n, m)]
+        rng = random.Random(5)
+        for k in (0, 1, 2, 3):
+            for _ in range(150):
+                script = rng.choices(words, k=301)
+                outcomes = []
+                for run in (run_similar_sizes, _run_reference):
+                    stream = ScriptedStream(script)
+                    outcomes.append((run_or_error(run, k, stream, 300), stream.used))
+                assert outcomes[0] == outcomes[1], script
 
     def test_k0_costs_are_two_per_attempt(self):
         for i in range(50):
@@ -182,15 +232,10 @@ class TestSimilarSizesRuns:
     def test_final_size_exceeds_target_threshold(self):
         for k in range(0, 5):
             for i in range(10):
-                result = run_similar_sizes(k, stream_for_run(81, i), audit=True)
+                result = run_similar_sizes(k, stream_for_run(81, i))
                 assert result.final_size > 2**k
                 assert result.cost >= result.final_size
                 assert result.successes >= 1
-
-    def test_audit_ledger_on_larger_runs(self):
-        for i in range(5):
-            run_similar_sizes(5, stream_for_run(512, i), audit=True)
-        run_similar_sizes(6, stream_for_run(512, 5), audit=True)
 
     def test_step_budget_guard(self):
         with pytest.raises(RuntimeError):
@@ -217,28 +262,44 @@ class TestSimilarSizesRuns:
             next(trace_similar_sizes(-1, SplitMix64(0)))
 
 
+def assert_invariants_and_kernel(k, new_stream):
+    """Check one run's trace step by step, then the kernel against it.
+
+    Along the trace on ``new_stream()``, every bucket holds only sizes of
+    its own bucket and the size-index ledger balances: draws add 1 each,
+    success conserves, recycle loses 2 (Bell-pair discards included) and
+    failure loses ``n + m``.  The kernel on a second ``new_stream()`` must
+    then return the folded trace and end in the same stream state.
+    """
+    stream = new_stream()
+    counts = dict.fromkeys(BRANCHES, 0)
+    failure_loss = 0
+    for step in trace_similar_sizes(k, stream):
+        counts[step.branch] += 1
+        if step.branch == FAILURE:
+            failure_loss += step.n + step.m
+        for level, bucket in enumerate(step.buckets):
+            assert all(bucket_index(size) == level for size in bucket)
+        remaining = sum(map(sum, step.buckets))
+        assert step.cost == (
+            remaining + (step.final or 0) + 2 * counts[RECYCLE] + failure_loss
+        )
+    fold = RunResult(step.cost, step.final, sum(counts.values()), *counts.values())
+    fast_stream = new_stream()
+    assert run_similar_sizes(k, fast_stream) == fold
+    assert fast_stream._state == stream._state
+
+
 class TestTraceProperties:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 3), st.integers(0, 2**64 - 1))
     def test_invariants_along_the_trace(self, k, seed):
-        stream = SplitMix64(seed)
-        counts = dict.fromkeys(BRANCHES, 0)
-        failure_loss = 0
-        for step in trace_similar_sizes(k, stream):
-            counts[step.branch] += 1
-            if step.branch == FAILURE:
-                failure_loss += step.n + step.m
-            for level, bucket in enumerate(step.buckets):
-                assert all(bucket_index(size) == level for size in bucket)
-            # Draws add 1 each, success conserves, recycle loses 2, failure n+m.
-            remaining = sum(map(sum, step.buckets))
-            assert step.cost == (
-                remaining + (step.final or 0) + 2 * counts[RECYCLE] + failure_loss
-            )
-        fold = RunResult(step.cost, step.final, sum(counts.values()), *counts.values())
-        fast_stream = SplitMix64(seed)
-        assert run_similar_sizes(k, fast_stream, audit=True) == fold
-        assert fast_stream._state == stream._state
+        assert_invariants_and_kernel(k, partial(SplitMix64, seed))
+
+    def test_invariants_on_larger_runs(self):
+        for i in range(5):
+            assert_invariants_and_kernel(5, partial(stream_for_run, 512, i))
+        assert_invariants_and_kernel(6, partial(stream_for_run, 512, 5))
 
 
 class TestBatches:
