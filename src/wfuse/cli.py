@@ -18,7 +18,9 @@ output path that cannot be opened for writing included.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -69,23 +71,28 @@ def _open_output(path: str):
         raise _OutputError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _write_rows(rows: Iterable[dict], fmt: str, out: Optional[str]) -> None:
-    """Write ``rows`` (dicts with the same keys) to ``out`` or stdout.
+@contextmanager
+def _output(path: Optional[str]):
+    """An open handle on ``path``, or stdout when ``path`` is None."""
+    if not path:
+        yield sys.stdout
+        return
+    with _open_output(path) as handle:
+        yield handle
+
+
+def _write_rows(rows: Iterable[dict], fmt: str, handle) -> None:
+    """Write ``rows`` (dicts with the same keys) to the open ``handle``.
 
     CSV is written row by row as ``rows`` yields them, so a generator of
     rows never has the whole table in memory; JSON needs the whole list.
     """
-    handle = _open_output(out) if out else sys.stdout
-    try:
-        if fmt == "csv":
-            handle.writelines(_csv_lines(rows))
-        else:
-            import json  # only here: most commands never load it
+    if fmt == "csv":
+        handle.writelines(_csv_lines(rows))
+    else:
+        import json  # only here: most commands never load it
 
-            handle.write(json.dumps(list(rows), indent=2) + "\n")
-    finally:
-        if out:
-            handle.close()
+        handle.write(json.dumps(list(rows), indent=2) + "\n")
 
 
 def _usage_error(message: str) -> int:
@@ -154,7 +161,8 @@ def _cmd_cost(args) -> int:
         }
         for n, cost in pairs
     )
-    _write_rows(rows, args.format, args.out)
+    with _output(args.out) as handle:
+        _write_rows(rows, args.format, handle)
     return 0
 
 
@@ -165,20 +173,15 @@ def _cmd_simulate(args) -> int:
         return _usage_error(f"--runs must be >= 1, got {args.runs}")
     if args.workers < 1:
         return _usage_error(f"--workers must be >= 1, got {args.workers}")
+    if args.out and args.dump_runs and (
+        os.path.realpath(args.out) == os.path.realpath(args.dump_runs)
+    ):
+        # Both are open at once below, and would overwrite each other.
+        return _usage_error("--out and --dump-runs must be different files")
     try:
         stats = simulate_batch(args.k, args.runs, args.seed, workers=args.workers)
     except RuntimeError as exc:
         return _run_error(exc)
-    if args.dump_runs:
-        # Written before the stats row, so that an unwritable path leaves
-        # stdout empty.  Every cell is an int, so the rows that _csv_lines
-        # would render are formatted directly.
-        with _open_output(args.dump_runs) as handle:
-            handle.write("run,cost,final_N\n")
-            handle.writelines(
-                f"{i},{cost},{size + 2}\n"
-                for i, (cost, size) in enumerate(zip(stats.costs, stats.final_sizes))
-            )
     rows = [
         {
             "k": stats.k,
@@ -192,7 +195,21 @@ def _cmd_simulate(args) -> int:
             "max": stats.max,
         }
     ]
-    _write_rows(rows, args.format, args.out)
+    # Both paths are opened before either is written, --out first, so an
+    # unwritable --out leaves no dump behind (an unwritable dump path leaves
+    # --out empty).
+    with _output(args.out) as out, (
+        _open_output(args.dump_runs) if args.dump_runs else nullcontext()
+    ) as dump:
+        if dump is not None:
+            # Every cell is an int, so the rows that _csv_lines would render
+            # are formatted directly.
+            dump.write("run,cost,final_N\n")
+            dump.writelines(
+                f"{i},{cost},{size + 2}\n"
+                for i, (cost, size) in enumerate(zip(stats.costs, stats.final_sizes))
+            )
+        _write_rows(rows, args.format, out)
     return 0
 
 
@@ -213,7 +230,8 @@ def _cmd_verify_gate(args) -> int:
         }
         for branch in ("success", "recycle", "failure")
     ]
-    _write_rows(rows, args.format, args.out)
+    with _output(args.out) as handle:
+        _write_rows(rows, args.format, handle)
     exact = check.simulated == check.analytic and all(
         value == 1 for value in check.fidelities.values()
     )
@@ -261,7 +279,8 @@ def _cmd_figure4(args) -> int:
         row["mc_mean"] = stats.mean if stats else None
         row["mc_stderr"] = stats.stderr if stats else None
         rows.append(row)
-    _write_rows(rows, args.format, args.out)
+    with _output(args.out) as handle:
+        _write_rows(rows, args.format, handle)
     return 0
 
 

@@ -30,6 +30,17 @@ carry or shifted bit ever reaches a neighbouring lane's low 64 bits.  The
 lanes are unpacked with ``int.to_bytes`` in the host's byte order and a
 native ``memoryview.cast("Q")``, keeping the low word of each lane.  Every
 draw is therefore bit-identical to ``next64() >> 11``.
+
+Range streams.  :func:`streams_for_range` serves a batch's runs ``start``
+to ``stop - 1`` with the same lane arithmetic.  One lane computation gives
+every seed ``mix64(master_seed + i)``: lane r holds ``master_seed + start
++ r`` modulo ``2**64``.  The seed lanes are copied with shifts so that
+lane ``j * runs + r`` holds seed r, and one more computation gives every
+run's first block of draws, ``mix64(seed_r + (j+1)*gamma) >> 11``.  Each
+stream's :meth:`~SplitMix64.draws53` yields that block and then continues
+the doubling schedule from the next word, so its draws, its ``skip`` and its
+final state are those of ``stream_for_run(master_seed, i)``: the range
+streams change no bit.
 """
 
 from __future__ import annotations
@@ -38,7 +49,14 @@ import sys
 from functools import lru_cache
 from itertools import chain
 
-__all__ = ["MASK64", "mix64", "block53", "SplitMix64", "stream_for_run"]
+__all__ = [
+    "MASK64",
+    "mix64",
+    "block53",
+    "SplitMix64",
+    "stream_for_run",
+    "streams_for_range",
+]
 
 MASK64 = (1 << 64) - 1
 
@@ -54,8 +72,9 @@ _INV_2_53 = 2.0 ** -53
 _LANE_STEP = {"little": 2, "big": -2}
 _STEP = _LANE_STEP[sys.byteorder]
 # Blocks of a stream start small, so short runs compute few unused words,
-# and double up to a cap that keeps the packed int a few kilobytes.
-_FIRST_BLOCK = 8
+# and double up to a cap that keeps the packed int a few kilobytes.  At
+# k = 1 about two runs in three end within the first block of 16.
+_FIRST_BLOCK = 16
 _MAX_BLOCK = 256
 
 
@@ -81,10 +100,14 @@ def _lane_constants(count: int) -> tuple[int, int, int, int]:
     return ones, steps, ones * MASK64, ones * ((1 << 53) - 1)
 
 
-def _lanes53(state: int, count: int) -> int:
-    """The draws of :func:`block53` in the low bits of 128-bit lanes."""
-    ones, steps, mask64, mask53 = _lane_constants(count)
-    x = (state * ones + steps) & mask64
+def _mix_lanes(x: int, mask64: int) -> int:
+    """``mix64`` of every 128-bit lane of ``x``, in each lane's low 64 bits.
+
+    ``x`` holds values below ``2**64`` in its lanes and ``mask64`` is the
+    64-bit mask of every lane.  The last xor-shift moves the next lane's
+    low 31 bits into bits 97..127 of each lane and leaves bits 64..96
+    zero, so callers mask the result or read only the low words.
+    """
     x ^= x >> 30
     x &= mask64
     x *= _MIX_A
@@ -93,7 +116,19 @@ def _lanes53(state: int, count: int) -> int:
     x &= mask64
     x *= _MIX_B
     x &= mask64
-    return ((x ^ (x >> 31)) >> 11) & mask53
+    return x ^ (x >> 31)
+
+
+def _lanes53(state: int, count: int) -> int:
+    """The draws of :func:`block53` in the low bits of 128-bit lanes."""
+    ones, steps, mask64, mask53 = _lane_constants(count)
+    return (_mix_lanes((state * ones + steps) & mask64, mask64) >> 11) & mask53
+
+
+def _lane_words(lanes: int, count: int) -> memoryview:
+    """The low 64-bit words of the first ``count`` lanes of ``lanes``."""
+    raw = lanes.to_bytes(16 * count, sys.byteorder)
+    return memoryview(raw).cast("Q")[::_STEP]
 
 
 def block53(state: int, count: int) -> memoryview:
@@ -104,12 +139,10 @@ def block53(state: int, count: int) -> memoryview:
     ``count`` calls of ``next64() >> 11``.  See the module docstring for
     the lane layout.
     """
-    lanes = _lanes53(state, count).to_bytes(16 * count, sys.byteorder)
-    return memoryview(lanes).cast("Q")[::_STEP]
+    return _lane_words(_lanes53(state, count), count)
 
 
-def _blocks53(state: int):
-    count = _FIRST_BLOCK
+def _blocks53(state: int, count: int = _FIRST_BLOCK):
     while True:
         yield block53(state, count)
         state = (state + count * _GOLDEN) & MASK64
@@ -151,3 +184,72 @@ class SplitMix64:
 def stream_for_run(master_seed: int, run_index: int) -> SplitMix64:
     """The per-run stream contract: seed ``mix64(master_seed + run_index)``."""
     return SplitMix64(mix64((master_seed + run_index) & MASK64))
+
+
+def _head_then_blocks53(head: memoryview, seed: int):
+    """``head``, the first block of the stream seeded ``seed``, then the rest."""
+    yield head
+    yield from _blocks53((seed + _FIRST_BLOCK * _GOLDEN) & MASK64, 2 * _FIRST_BLOCK)
+
+
+class _HeadStream(SplitMix64):
+    """A :class:`SplitMix64` whose first block of draws was computed ahead."""
+
+    __slots__ = ("_seed", "_head")
+
+    def __init__(self, seed: int, head: memoryview):
+        self._state = self._seed = seed
+        self._head = head
+
+    def draws53(self):
+        if self._state != self._seed:
+            return SplitMix64.draws53(self)
+        return chain.from_iterable(_head_then_blocks53(self._head, self._seed))
+
+
+@lru_cache(maxsize=8)
+def _range_constants(runs: int) -> tuple[int, int, int]:
+    """(ramp, steps, mask) for :func:`streams_for_range` over ``runs`` runs.
+
+    Lane r of ``ramp`` holds r.  ``steps`` and ``mask`` span the
+    ``runs * _FIRST_BLOCK`` head lanes: lane ``j * runs + r`` of ``steps``
+    holds ``(j+1) * gamma``, and ``mask`` is their 64-bit lane mask.
+    """
+    ramp = b"".join(r.to_bytes(16, "little") for r in range(runs))
+    steps = b"".join(
+        ((j + 1) * _GOLDEN).to_bytes(16, "little") * runs for j in range(_FIRST_BLOCK)
+    )
+    mask64 = (b"\xff" * 8 + bytes(8)) * (runs * _FIRST_BLOCK)
+    return tuple(int.from_bytes(raw, "little") for raw in (ramp, steps, mask64))
+
+
+def streams_for_range(master_seed: int, start: int, stop: int) -> list[SplitMix64]:
+    """The streams of runs ``start`` to ``stop - 1``, as :func:`stream_for_run`.
+
+    Stream ``r`` is seeded ``mix64(master_seed + start + r)`` and its
+    :meth:`~SplitMix64.draws53` yields exactly the draws of
+    ``stream_for_run(master_seed, start + r)``.  The seeds are computed in
+    one lane computation, and every stream's first block of draws in one
+    more, so a run that ends within that block pays no block setup of its
+    own.
+    """
+    runs = stop - start
+    ramp, head_steps, head_mask = _range_constants(runs)
+    ones, _, mask64, _ = _lane_constants(runs)
+    base = (master_seed + start) & MASK64
+    lanes = _mix_lanes((base * ones + ramp) & mask64, mask64)
+    seeds = _lane_words(lanes, runs)
+    # Copy the seed lanes _FIRST_BLOCK times (a power of two), so that lane
+    # j * runs + r holds seed r; adding head_steps makes it run r's counter j.
+    # The sum stays below 2**69 in each lane, so it does not reach the
+    # next-lane bits from 97 up, which the mask then clears.
+    count = runs * _FIRST_BLOCK
+    width = 128 * runs
+    while width < 128 * count:
+        lanes |= lanes << width
+        width *= 2
+    lanes = (lanes + head_steps) & head_mask
+    # Bits 64..74 of each mixed lane are zero, so after the shift each
+    # lane's low word is its 53-bit draw.
+    heads = _lane_words(_mix_lanes(lanes, head_mask) >> 11, count)
+    return [_HeadStream(seed, heads[r::runs]) for r, seed in enumerate(seeds)]

@@ -32,7 +32,8 @@ of a batch uses the stream seeded ``mix64(master_seed + i)``, which makes
 batch results independent of execution order and parallelism.  A batch
 runs in contiguous ranges of run indices, each returning its costs and
 final sizes as integer arrays, and its mean and standard deviation come
-from exact integer sums.
+from exact integer sums.  Within a range the streams are seeded, and their
+first draws computed, for 256 runs at a time.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .fusion_model import (
     classify_uniform,
     outcome_distribution,
 )
-from .rng import stream_for_run
+from .rng import streams_for_range
 
 __all__ = [
     "RunResult",
@@ -66,6 +67,8 @@ __all__ = [
 ]
 
 DEFAULT_STEP_BUDGET = 10**9
+# Runs whose streams :func:`_run_range` seeds at once.
+_RANGE_CHUNK = 256
 
 
 def bucket_index(size: int) -> int:
@@ -84,6 +87,11 @@ class RunResult(
     """Outcome of one strategy run."""
 
     __slots__ = ()
+
+
+# RunResult from one tuple of its six fields, without the Python-level
+# __new__ that the named tuple adds.
+_tuple_new = tuple.__new__
 
 
 class FusionStep(namedtuple("FusionStep", "level n m branch cost buckets final")):
@@ -168,7 +176,10 @@ def run_similar_sizes(
     :meth:`~wfuse.rng.SplitMix64.draws53`, which computes them in blocks,
     and on return or on ``RuntimeError`` the stream has been advanced by
     exactly the number of attempts made, as if ``next64()`` had been called
-    once per attempt.
+    once per attempt.  A stream from :func:`wfuse.rng.streams_for_range`
+    has its first block computed ahead with its batch's other runs; it
+    yields the same draws and ends in the same state, so the result does
+    not depend on which kind of stream ``rng`` is.
 
     The loop below inlines the step helpers and the exact threshold
     classification for speed.  The two lowest buckets hold a single size
@@ -183,7 +194,9 @@ def run_similar_sizes(
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    sets = [[] for _ in range(k + 2)]  # S_0 and S_1 stay empty: see c0, c1
+    # S_2 and up; S_0 and S_1 are the counts c0 and c1, and their lists stay
+    # empty.  Runs with k < 2 end in S_0 or S_1.
+    sets = [[] for _ in range(k + 2)] if k >= 2 else None
     c0 = c1 = 0
     xi = 0
     cost = 0
@@ -217,7 +230,9 @@ def run_similar_sizes(
                     successes += 1
                     if not k:
                         rng.skip(attempts)
-                        return RunResult(cost, 2, attempts, successes, recycles, failures)
+                        return _tuple_new(
+                            RunResult, (cost, 2, attempts, successes, recycles, failures)
+                        )
                     c1 += 1
                 else:
                     # Fuse (w_2, w_2) in S_1; a recyclable outcome leaves two w_1.
@@ -229,8 +244,9 @@ def run_similar_sizes(
                         successes += 1
                         if k == 1:
                             rng.skip(attempts)
-                            return RunResult(
-                                cost, 4, attempts, successes, recycles, failures
+                            return _tuple_new(
+                                RunResult,
+                                (cost, 4, attempts, successes, recycles, failures),
                             )
                         sets[2].append(4)
                         xi = 2
@@ -254,8 +270,8 @@ def run_similar_sizes(
                 successes += 1
                 if xi == k:
                     rng.skip(attempts)
-                    return RunResult(
-                        cost, n + m, attempts, successes, recycles, failures
+                    return _tuple_new(
+                        RunResult, (cost, n + m, attempts, successes, recycles, failures)
                     )
                 sets[xi + 1].append(n + m)
                 xi += 1
@@ -333,14 +349,20 @@ class BatchStats(
 
 
 def _run_range(args) -> tuple[array, array]:
-    """Costs and final sizes of runs ``start`` to ``stop - 1`` of a batch."""
+    """Costs and final sizes of runs ``start`` to ``stop - 1`` of a batch.
+
+    The streams are made :data:`_RANGE_CHUNK` runs at a time.  Every run
+    calls the module-global ``run_similar_sizes``, so a wrapper put there
+    sees each run.
+    """
     k, master_seed, start, stop = args
     costs = array("q")
     sizes = array("q")
-    for i in range(start, stop):
-        result = run_similar_sizes(k, stream_for_run(master_seed, i))
-        costs.append(result.cost)
-        sizes.append(result.final_size)
+    for lo in range(start, stop, _RANGE_CHUNK):
+        for stream in streams_for_range(master_seed, lo, min(lo + _RANGE_CHUNK, stop)):
+            result = run_similar_sizes(k, stream)
+            costs.append(result.cost)
+            sizes.append(result.final_size)
     return costs, sizes
 
 
@@ -396,9 +418,13 @@ def simulate_batch(
 
     Run ``i`` uses the stream seeded ``mix64(master_seed + i)``, so the
     per-run cost vector is a pure function of ``(k, runs, master_seed)``
-    and identical for any ``workers`` setting.  With ``workers > 1`` the
-    runs go to ``pool`` (from :func:`worker_pool`) when one is given, and
-    to a pool started for this call otherwise.
+    and identical for any ``workers`` setting.  The streams come from
+    :func:`wfuse.rng.streams_for_range`, 256 runs at a time, which seeds
+    them and computes their first draws together; every run is
+    bit-identical to ``run_similar_sizes(k, stream_for_run(master_seed,
+    i))``.  With ``workers > 1`` the runs go to ``pool`` (from
+    :func:`worker_pool`) when one is given, and to a pool started for this
+    call otherwise.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")

@@ -11,7 +11,8 @@ import wfuse.cli
 import wfuse.simulate
 from wfuse.cli import _csv_lines, main
 from wfuse.growth_costs import linear_recycled_costs, w3_linear_cost
-from wfuse.simulate import simulate_batch
+from wfuse.rng import stream_for_run
+from wfuse.simulate import run_similar_sizes, simulate_batch
 
 SRC = Path(wfuse.simulate.__file__).resolve().parents[1]
 
@@ -224,6 +225,53 @@ class TestSimulateCommand:
         assert captured.err == (
             f"wfuse: error: cannot write {path}: No such file or directory\n"
         )
+
+    def test_unwritable_out_leaves_no_dump(self, capsys, tmp_path):
+        dump = tmp_path / "d.csv"
+        out = tmp_path / "missing" / "x.csv"
+        argv = [
+            "simulate", "--k", "0", "--runs", "3", "--seed", "1",
+            "--dump-runs", str(dump), "--out", str(out),
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"wfuse: error: cannot write {out}: No such file or directory\n"
+        )
+        assert not dump.exists()
+
+    def test_out_and_dump_on_one_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "both.csv"
+        argv = [
+            "simulate", "--k", "0", "--runs", "3", "--seed", "1",
+            "--dump-runs", str(path), "--out", str(tmp_path / "." / "both.csv"),
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "wfuse: error: --out and --dump-runs must be different files\n"
+        )
+        assert not path.exists()
+
+    def test_negative_seed_dump_replays_stream_for_run(self, capsys, tmp_path):
+        path = tmp_path / "runs.csv"
+        code, _ = run_cli(
+            capsys,
+            "simulate", "--k", "1", "--runs", "300", "--seed", "-7",
+            "--dump-runs", str(path),
+        )
+        assert code == 0
+        dumped = parse_csv(path.read_text())
+        assert len(dumped) == 300
+        for i, row in enumerate(dumped):
+            result = run_similar_sizes(1, stream_for_run(-7, i))
+            assert row == {
+                "run": str(i),
+                "cost": str(result.cost),
+                "final_N": str(result.final_size + 2),
+            }
 
     @pytest.mark.parametrize("command", ["simulate", "figure4"])
     def test_step_budget_overrun_exits_one(self, capsys, monkeypatch, tmp_path, command):

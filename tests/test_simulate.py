@@ -3,6 +3,7 @@ import random
 import statistics
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from wfuse.rng import (
     block53,
     mix64,
     stream_for_run,
+    streams_for_range,
 )
 from wfuse.simulate import (
     DEFAULT_STEP_BUDGET,
@@ -25,6 +27,7 @@ from wfuse.simulate import (
     _S0_SUCCESS,
     _S1_RECYCLE,
     _S1_SUCCESS,
+    _RANGE_CHUNK,
     FusionStep,
     RunResult,
     _run_reference,
@@ -125,6 +128,63 @@ class TestBlockDraws:
             (8444249301319680, FAILURE),
         ):
             assert classify_uniform(2, 2, draw * 2.0**-53) == branch
+
+
+# Master seeds for the range streams: negatives and values of 2**64 or more
+# must match stream_for_run's masking.
+RANGE_MASTERS = st.one_of(
+    st.sampled_from([0, -1, -7, 2**63, 2**64 - 1, 2**64, 2**64 + 5, -(2**64) - 3]),
+    st.integers(-(2**70), 2**70),
+)
+# Range starts, some close enough to 2**64 that master + start wraps inside
+# the range; lengths around the 256-run chunk of simulate._run_range.
+RANGE_STARTS = st.one_of(st.integers(0, 2**20), st.integers(2**64 - 300, 2**64 + 300))
+RANGE_LENGTHS = st.sampled_from([1, 2, 255, 256, 257])
+
+
+class TestRangeStreams:
+    @settings(max_examples=25, deadline=None)
+    @given(RANGE_MASTERS, RANGE_STARTS, RANGE_LENGTHS)
+    def test_draws_match_stream_for_run(self, master, start, runs):
+        # 120 draws cross the head (16), 32- and 64-draw block boundaries.
+        streams = streams_for_range(master, start, start + runs)
+        assert len(streams) == runs
+        for i, stream in enumerate(streams):
+            reference = stream_for_run(master, start + i)
+            assert stream._state == reference._state
+            expected = [reference.next64() >> 11 for _ in range(120)]
+            assert list(islice(stream.draws53(), 120)) == expected
+            assert stream._state == stream_for_run(master, start + i)._state
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        RANGE_MASTERS,
+        RANGE_STARTS,
+        RANGE_LENGTHS,
+        st.integers(0, 3),
+        st.integers(1, 80),
+    )
+    def test_runs_leave_the_reference_state(self, master, start, runs, k, max_steps):
+        # A complete run, then a run over its step budget, on each stream.
+        for budget in (DEFAULT_STEP_BUDGET, max_steps):
+            streams = streams_for_range(master, start, start + runs)
+            for i, stream in enumerate(streams):
+                reference = stream_for_run(master, start + i)
+                assert run_or_error(run_similar_sizes, k, stream, budget) == (
+                    run_or_error(_run_reference, k, reference, budget)
+                )
+                assert stream._state == reference._state
+
+    def test_moved_stream_draws_from_its_state(self):
+        # Once the state has left the seed, the computed head is not used.
+        stream, reference = streams_for_range(-3, 10, 12)[1], stream_for_run(-3, 11)
+        stream.skip(5)
+        reference.skip(5)
+        assert stream.random() == reference.random()
+        draws = stream.draws53()
+        assert [next(draws) for _ in range(40)] == [
+            reference.next64() >> 11 for _ in range(40)
+        ]
 
 
 class TestBuckets:
@@ -328,9 +388,17 @@ class TestBatches:
         assert len(sequential.costs) == len(sequential.final_sizes) == 97
 
     def test_runs_are_indexed_by_derived_stream(self):
-        stats = simulate_batch(1, 6, 991)
-        for i in range(6):
-            assert stats.costs[i] == run_similar_sizes(1, stream_for_run(991, i)).cost
+        # A replay through stream_for_run; at 1 worker, one range of 257 or
+        # 513 runs crosses the 256-run chunks of the range streams.
+        for runs in (6, _RANGE_CHUNK + 1, 2 * _RANGE_CHUNK + 1):
+            for k in range(4):
+                replay = [run_similar_sizes(k, stream_for_run(-11, i)) for i in range(runs)]
+                costs = [result.cost for result in replay]
+                sizes = [result.final_size for result in replay]
+                for workers in (1, 2, 3):
+                    stats = simulate_batch(k, runs, -11, workers=workers)
+                    assert list(stats.costs) == costs, (runs, k, workers)
+                    assert list(stats.final_sizes) == sizes, (runs, k, workers)
 
     def test_stats_fields(self):
         stats = simulate_batch(0, 500, 8)
