@@ -41,6 +41,9 @@ _MAX_K = 8
 # optimal table takes about 4 s and the linear table writes 24 MB; the
 # linear table's size grows quadratically in N.
 _MAX_TARGET = 10_000
+# Rows of a `simulate --dump-runs` file rendered by one format operation;
+# the bound keeps a chunk's cells and text to a few tens of kilobytes.
+_DUMP_CHUNK = 4096
 
 
 def _cell(value) -> str:
@@ -166,6 +169,22 @@ def _cmd_cost(args) -> int:
     return 0
 
 
+def _write_dump(handle, costs, final_sizes) -> None:
+    """Write the `--dump-runs` CSV: run index, cost and final actual size.
+
+    Every cell is an int, so the rows that _csv_lines would render are
+    formatted directly, with one ``%`` operation per chunk of rows.
+    """
+    handle.write("run,cost,final_N\n")
+    for lo in range(0, len(costs), _DUMP_CHUNK):
+        hi = min(lo + _DUMP_CHUNK, len(costs))
+        cells = [0] * (3 * (hi - lo))
+        cells[0::3] = range(lo, hi)
+        cells[1::3] = costs[lo:hi]
+        cells[2::3] = [size + 2 for size in final_sizes[lo:hi]]
+        handle.write(("%d,%d,%d\n" * (hi - lo)) % tuple(cells))
+
+
 def _cmd_simulate(args) -> int:
     if not 0 <= args.k <= _MAX_K:
         return _usage_error(f"--k must be in 0..{_MAX_K}, got {args.k}")
@@ -202,13 +221,7 @@ def _cmd_simulate(args) -> int:
         _open_output(args.dump_runs) if args.dump_runs else nullcontext()
     ) as dump:
         if dump is not None:
-            # Every cell is an int, so the rows that _csv_lines would render
-            # are formatted directly.
-            dump.write("run,cost,final_N\n")
-            dump.writelines(
-                f"{i},{cost},{size + 2}\n"
-                for i, (cost, size) in enumerate(zip(stats.costs, stats.final_sizes))
-            )
+            _write_dump(dump, stats.costs, stats.final_sizes)
         _write_rows(rows, args.format, out)
     return 0
 

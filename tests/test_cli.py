@@ -273,6 +273,26 @@ class TestSimulateCommand:
                 "final_N": str(result.final_size + 2),
             }
 
+    def test_dump_across_render_chunks_replays_stream_for_run(self, capsys, tmp_path):
+        # Two full render chunks and a one-row tail, with 1 and 2 workers.
+        runs = 2 * wfuse.cli._DUMP_CHUNK + 1
+        dumps = []
+        for workers in ("1", "2"):
+            path = tmp_path / f"runs{workers}.csv"
+            code, _ = run_cli(
+                capsys,
+                "simulate", "--k", "0", "--runs", str(runs), "--seed", "31",
+                "--workers", workers, "--dump-runs", str(path),
+            )
+            assert code == 0
+            dumps.append(path.read_bytes())
+        expected = ["run,cost,final_N\n"]
+        for i in range(runs):
+            result = run_similar_sizes(0, stream_for_run(31, i))
+            expected.append(f"{i},{result.cost},{result.final_size + 2}\n")
+        assert dumps[0] == "".join(expected).encode()
+        assert dumps[1] == dumps[0]
+
     @pytest.mark.parametrize("command", ["simulate", "figure4"])
     def test_step_budget_overrun_exits_one(self, capsys, monkeypatch, tmp_path, command):
         def overrun(k, rng, **kwargs):

@@ -146,14 +146,15 @@ class TestRangeStreams:
     @settings(max_examples=25, deadline=None)
     @given(RANGE_MASTERS, RANGE_STARTS, RANGE_LENGTHS)
     def test_draws_match_stream_for_run(self, master, start, runs):
-        # 120 draws cross the head (16), 32- and 64-draw block boundaries.
+        # 130 draws cross the boundaries after the head (16) and the 16-,
+        # 32- and 64-draw blocks: draws 16, 32, 64 and 128.
         streams = streams_for_range(master, start, start + runs)
         assert len(streams) == runs
         for i, stream in enumerate(streams):
             reference = stream_for_run(master, start + i)
             assert stream._state == reference._state
-            expected = [reference.next64() >> 11 for _ in range(120)]
-            assert list(islice(stream.draws53(), 120)) == expected
+            expected = [reference.next64() >> 11 for _ in range(130)]
+            assert list(islice(stream.draws53(), 130)) == expected
             assert stream._state == stream_for_run(master, start + i)._state
 
     @settings(max_examples=20, deadline=None)
@@ -325,8 +326,8 @@ class TestSimilarSizesRuns:
 def assert_invariants_and_kernel(k, new_stream):
     """Check one run's trace step by step, then the kernel against it.
 
-    Along the trace on ``new_stream()``, every bucket holds only sizes of
-    its own bucket and the size-index ledger balances: draws add 1 each,
+    Along the trace on ``new_stream()``, every bucket holds at most two
+    states, all of its own sizes, and the size-index ledger balances: draws add 1 each,
     success conserves, recycle loses 2 (Bell-pair discards included) and
     failure loses ``n + m``.  The kernel on a second ``new_stream()`` must
     then return the folded trace and end in the same stream state.
@@ -339,6 +340,7 @@ def assert_invariants_and_kernel(k, new_stream):
         if step.branch == FAILURE:
             failure_loss += step.n + step.m
         for level, bucket in enumerate(step.buckets):
+            assert len(bucket) <= 2
             assert all(bucket_index(size) == level for size in bucket)
         remaining = sum(map(sum, step.buckets))
         assert step.cost == (
