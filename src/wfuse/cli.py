@@ -44,6 +44,10 @@ _MAX_TARGET = 10_000
 # Rows of a `simulate --dump-runs` file rendered by one format operation;
 # the bound keeps a chunk's cells and text to a few tens of kilobytes.
 _DUMP_CHUNK = 4096
+_WORKERS_HELP = (
+    "worker processes, at most the number of CPUs (default 1); "
+    "the output does not depend on it"
+)
 
 
 def _cell(value) -> str:
@@ -106,6 +110,14 @@ def _usage_error(message: str) -> int:
 def _run_error(exc: RuntimeError) -> int:
     print(f"wfuse: error: {exc}", file=sys.stderr)
     return 1
+
+
+def _worker_processes(requested: int) -> int:
+    """``--workers`` capped at ``os.cpu_count()`` (1 when that is unknown).
+
+    No output depends on the number of workers, so the cap changes no byte.
+    """
+    return min(requested, os.cpu_count() or 1)
 
 
 def _float_cell(value: Fraction) -> Optional[float]:
@@ -198,7 +210,9 @@ def _cmd_simulate(args) -> int:
         # Both are open at once below, and would overwrite each other.
         return _usage_error("--out and --dump-runs must be different files")
     try:
-        stats = simulate_batch(args.k, args.runs, args.seed, workers=args.workers)
+        stats = simulate_batch(
+            args.k, args.runs, args.seed, workers=_worker_processes(args.workers)
+        )
     except RuntimeError as exc:
         return _run_error(exc)
     rows = [
@@ -264,11 +278,12 @@ def _cmd_figure4(args) -> int:
     # Stage k reuses the per-run seed derivation with run indices offset by
     # k * runs, so every (stage, run) pair has a distinct stream.  One pool
     # serves every stage.
+    workers = _worker_processes(args.workers)
     try:
-        with worker_pool(args.workers) as pool:
+        with worker_pool(workers) as pool:
             batches = {
                 k: simulate_batch(
-                    k, args.runs, args.seed + k * args.runs, workers=args.workers, pool=pool
+                    k, args.runs, args.seed + k * args.runs, workers=workers, pool=pool
                 )
                 for k in range(args.max_k + 1)
             }
@@ -339,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="master seed (explicit, so published tables replay exactly)",
     )
-    simulate.add_argument("--workers", type=int, default=1)
+    simulate.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     simulate.add_argument(
         "--dump-runs", metavar="PATH", default=None, help="also write per-run costs"
     )
@@ -360,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure4.add_argument("--max-k", type=int, default=6, dest="max_k")
     figure4.add_argument("--runs", type=int, default=1000)
     figure4.add_argument("--seed", type=int, required=True)
-    figure4.add_argument("--workers", type=int, default=1)
+    figure4.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     _add_output_flags(figure4)
     figure4.set_defaults(func=_cmd_figure4)
 

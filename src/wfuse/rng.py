@@ -29,7 +29,9 @@ the upper half of a lane, and a 64x64-bit product fits in 128 bits, so no
 carry or shifted bit ever reaches a neighbouring lane's low 64 bits.  The
 lanes are unpacked with ``int.to_bytes`` in the host's byte order and a
 native ``memoryview.cast("Q")``, keeping the low word of each lane.  Every
-draw is therefore bit-identical to ``next64() >> 11``.
+draw is therefore bit-identical to ``next64() >> 11``.  Taking block draws
+does not move a stream: a run reads its stream's draws from the stream's
+state and leaves that state as it was.
 
 Range streams.  :func:`streams_for_range` serves a batch's runs ``start``
 to ``stop - 1`` with the same lane arithmetic.  One lane computation gives
@@ -39,10 +41,10 @@ lane ``j * runs + r`` holds seed r, and one more computation gives every
 run's first block of 16 draws, ``mix64(seed_r + (j+1)*gamma) >> 11``.
 Each stream's :meth:`~SplitMix64.draws53` yields that block and then
 computes blocks of 16, 32, 64, 128 and 256 draws from the next word on, so
-its draws, its ``skip`` and its final state are those of
-``stream_for_run(master_seed, i)``: the range streams change no bit.  The
-refill starts at 16 rather than 32 because few runs reach far past the
-head: at k = 1 about 32% of runs need a 17th draw but under 9% a 33rd.
+its draws are those of ``stream_for_run(master_seed, i)``: the range
+streams change no bit.  The refill starts at 16 rather than 32 because few
+runs reach far past the head: at k = 1 about 32% of runs need a 17th draw
+but under 9% a 33rd.
 """
 
 from __future__ import annotations
@@ -173,16 +175,11 @@ class SplitMix64:
     def draws53(self):
         """Endless iterator over the draws ``next64() >> 11`` from here on.
 
-        The draws are computed ahead in blocks (:func:`block53`) and the
-        stream itself does not move: a caller that took ``count`` draws
-        calls :meth:`skip` with ``count`` to leave the stream where as many
-        ``next64()`` calls would have.
+        The draws are computed ahead in blocks (:func:`block53`), and taking
+        them does not move the stream: its state stays where it was when
+        the iterator was made.
         """
         return chain.from_iterable(_blocks53(self._state))
-
-    def skip(self, count: int) -> None:
-        """Advance the stream by ``count`` words without computing them."""
-        self._state = (self._state + count * _GOLDEN) & MASK64
 
 
 def stream_for_run(master_seed: int, run_index: int) -> SplitMix64:

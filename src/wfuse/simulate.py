@@ -45,6 +45,7 @@ from array import array
 from collections import namedtuple
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
+from itertools import islice
 from operator import mul
 
 from .fusion_model import (
@@ -141,10 +142,18 @@ def _apply_branch(sets, xi, n, m, branch, k):
     return None, xi
 
 
-def _over_budget(rng, attempts, max_steps, k) -> RuntimeError:
-    """Advance ``rng`` past the draws of ``attempts``; the error to raise."""
-    rng.skip(attempts)
+def _budget_error(max_steps, k) -> RuntimeError:
     return RuntimeError(f"step budget {max_steps} exceeded at k={k}")
+
+
+def _finish(k, max_steps, cost, final_size, successes, recycles, failures) -> RunResult:
+    """The result of an ended run, or the budget error if the trace's check
+    before its last attempt fires: both terms of the check only grow, so
+    it fires before some attempt exactly when it fires before the last."""
+    attempts = successes + recycles + failures
+    if cost + attempts - 1 > max_steps:
+        raise _budget_error(max_steps, k)
+    return _tuple_new(RunResult, (cost, final_size, attempts, successes, recycles, failures))
 
 
 # Exact thresholds of classify_uniform(1, 1, u) on the 53-bit draw
@@ -171,17 +180,19 @@ def run_similar_sizes(
     ``>= 2^k + 3``.
 
     ``max_steps`` bounds draws + fusion attempts; exceeding it raises
-    ``RuntimeError`` and signals a bug, not an expected outcome.
+    ``RuntimeError`` and signals a bug, not an expected outcome.  The
+    budget is checked once, when the run ends, and the draws are cut after
+    ``max_steps + 1``, since a run that needs more is over budget anyway;
+    so a run that never ends raises too.
 
     Each fusion attempt takes one draw ``next64() >> 11`` from ``rng``, a
     :class:`wfuse.rng.SplitMix64`, in stream order; the draws come from
-    :meth:`~wfuse.rng.SplitMix64.draws53`, which computes them in blocks,
-    and on return or on ``RuntimeError`` the stream has been advanced by
-    exactly the number of attempts made, as if ``next64()`` had been called
-    once per attempt.  A stream from :func:`wfuse.rng.streams_for_range`
-    has its first block computed ahead with its batch's other runs; it
-    yields the same draws and ends in the same state, so the result does
-    not depend on which kind of stream ``rng`` is.
+    :meth:`~wfuse.rng.SplitMix64.draws53`, which computes them in blocks
+    and leaves the stream where it was.  ``fusion_attempts`` of the result
+    is the number of draws the run used.  A stream from
+    :func:`wfuse.rng.streams_for_range` has its first block computed ahead
+    with its batch's other runs; it yields the same draws, so the result
+    does not depend on which kind of stream ``rng`` is.
 
     The loop below inlines the step helpers and the exact threshold
     classification for speed.  The two lowest buckets hold a single size
@@ -196,7 +207,7 @@ def run_similar_sizes(
     plainly, one attempt at a time.  The test suite asserts the
     bucket-membership rule, the bound of two states per bucket and the
     size-index ledger at every step of the trace, and holds this kernel to
-    the trace: identical results and identical final stream states.
+    the trace: identical results, and identical errors at every budget.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -204,9 +215,8 @@ def run_similar_sizes(
     # empty.  Runs with k < 2 end in S_0 or S_1.
     sets = [[] for _ in range(k + 2)] if k >= 2 else None
     c0 = c1 = 0
-    cost = 0
-    attempts = successes = recycles = failures = 0
-    draws = rng.draws53()
+    cost = successes = recycles = failures = 0
+    draws = islice(rng.draws53(), max_steps + 1 if max_steps >= 0 else 0)
     while True:
         # One fusion per draw in S_0 and S_1.  Step 2 leaves the pointer at
         # S_1 exactly when it holds two states, and at S_0 otherwise; both
@@ -217,16 +227,10 @@ def run_similar_sizes(
                     c0 -= 2
                 else:  # step 2 at xi = 0
                     cost += 2
-                if cost + attempts > max_steps:
-                    raise _over_budget(rng, attempts, max_steps, k)
-                attempts += 1
                 if u < _S0_SUCCESS:
                     successes += 1
                     if not k:
-                        rng.skip(attempts)
-                        return _tuple_new(
-                            RunResult, (cost, 2, attempts, successes, recycles, failures)
-                        )
+                        return _finish(k, max_steps, cost, 2, successes, recycles, failures)
                     c1 += 1
                 elif u < _S0_RECYCLE:
                     recycles += 1
@@ -234,17 +238,11 @@ def run_similar_sizes(
                     failures += 1
             else:
                 # Fuse (w_2, w_2) in S_1; a recyclable outcome leaves two w_1.
-                if cost + attempts > max_steps:
-                    raise _over_budget(rng, attempts, max_steps, k)
-                attempts += 1
                 c1 -= 2
                 if u < _S1_SUCCESS:
                     successes += 1
                     if k == 1:
-                        rng.skip(attempts)
-                        return _tuple_new(
-                            RunResult, (cost, 4, attempts, successes, recycles, failures)
-                        )
+                        return _finish(k, max_steps, cost, 4, successes, recycles, failures)
                     sets[2].append(4)
                     break
                 if u < _S1_RECYCLE:
@@ -252,43 +250,43 @@ def run_similar_sizes(
                     c0 += 2
                 else:
                     failures += 1
+        else:
+            break  # the draws ran out
         # S_2 and up, from S_2 until step 2 walks the pointer below it.
         xi = 2
-        while xi > 1:
-            bucket = sets[xi]
-            if len(bucket) < 2:  # step 2 above S_1
-                xi -= 1
-                continue
-            if cost + attempts > max_steps:
-                raise _over_budget(rng, attempts, max_steps, k)
-            n = bucket.pop(0)
-            m = bucket.pop(0)
-            attempts += 1
-            lhs = next(draws) * ((n + 2) * (m + 2))
-            success_num = (n + m + 2) << 53
-            if lhs < success_num:
-                successes += 1
-                if xi == k:
-                    rng.skip(attempts)
-                    return _tuple_new(
-                        RunResult, (cost, n + m, attempts, successes, recycles, failures)
-                    )
-                sets[xi + 1].append(n + m)
-                xi += 1
-            elif lhs < success_num + (((n + 1) * (m + 1)) << 53):
-                recycles += 1
-                # n, m >= 3 here, so a part w_{n-1} is w_2, counted in S_1,
-                # or lands in S_2 and up.
-                if n == 3:
-                    c1 += 1
+        try:
+            while xi > 1:
+                bucket = sets[xi]
+                if len(bucket) < 2:  # step 2 above S_1
+                    xi -= 1
+                    continue
+                n = bucket.pop(0)
+                m = bucket.pop(0)
+                lhs = next(draws) * ((n + 2) * (m + 2))
+                success_num = (n + m + 2) << 53
+                if lhs < success_num:
+                    successes += 1
+                    if xi == k:
+                        return _finish(k, max_steps, cost, n + m, successes, recycles, failures)
+                    sets[xi + 1].append(n + m)
+                    xi += 1
+                elif lhs < success_num + (((n + 1) * (m + 1)) << 53):
+                    recycles += 1
+                    # n, m >= 3 here, so a part w_{n-1} is w_2, counted in
+                    # S_1, or lands in S_2 and up.
+                    if n == 3:
+                        c1 += 1
+                    else:
+                        sets[(n - 2).bit_length()].append(n - 1)
+                    if m == 3:
+                        c1 += 1
+                    else:
+                        sets[(m - 2).bit_length()].append(m - 1)
                 else:
-                    sets[(n - 2).bit_length()].append(n - 1)
-                if m == 3:
-                    c1 += 1
-                else:
-                    sets[(m - 2).bit_length()].append(m - 1)
-            else:
-                failures += 1
+                    failures += 1
+        except StopIteration:  # next(draws): the draws ran out
+            break
+    raise _budget_error(max_steps, k)
 
 
 def trace_similar_sizes(k: int, rng, *, max_steps: int = DEFAULT_STEP_BUDGET):
@@ -298,8 +296,9 @@ def trace_similar_sizes(k: int, rng, *, max_steps: int = DEFAULT_STEP_BUDGET):
     drives the step helpers, draws through the scalar ``rng.random()`` and
     classifies with :func:`wfuse.fusion_model.classify_uniform`, so it
     shares no code with the kernel's block draws or its inlined thresholds.
-    Given the same stream it makes the same attempts, ends in the same
-    stream state, and raises ``RuntimeError`` at the same step budget.
+    Given the same stream it makes the same attempts and raises the same
+    ``RuntimeError`` at the same step budget, checked before every attempt.
+    Unlike the kernel it advances ``rng``, by one word per attempt.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -309,7 +308,7 @@ def trace_similar_sizes(k: int, rng, *, max_steps: int = DEFAULT_STEP_BUDGET):
         draws, xi = _settle(sets, xi)
         cost += draws
         if cost + attempts > max_steps:
-            raise RuntimeError(f"step budget {max_steps} exceeded at k={k}")
+            raise _budget_error(max_steps, k)
         level = xi
         n = sets[xi].pop(0)
         m = sets[xi].pop(0)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -410,12 +411,47 @@ class TestFigure4Command:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        # Two CPUs, so that --workers 2 is not capped on a one-CPU host.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         argv = ("figure4", "--max-k", "3", "--runs", "20", "--seed", "4")
         _, serial = run_cli(capsys, *argv, "--workers", "1")
         assert pools == []
         _, pooled = run_cli(capsys, *argv, "--workers", "2")
         assert pools == [2]  # one pool of two processes for stages k = 0..3
         assert pooled == serial
+
+    @pytest.mark.parametrize("command", ["simulate", "figure4"])
+    def test_workers_capped_at_cpu_count(self, capsys, monkeypatch, command):
+        # The pool stand-in records its size and maps in this process, so
+        # no worker process is started whatever the size asked for.
+        import concurrent.futures
+
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        if command == "simulate":
+            argv = ("simulate", "--k", "2", "--runs", "40", "--seed", "6")
+        else:
+            argv = ("figure4", "--max-k", "2", "--runs", "20", "--seed", "6")
+        _, serial = run_cli(capsys, *argv, "--workers", "1")
+        for cpus, workers, expected in ((3, "64", [3]), (None, "8", []), (1, "2", [])):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            pools.clear()
+            assert run_cli(capsys, *argv, "--workers", workers) == (0, serial)
+            assert pools == expected, (cpus, workers)
 
     def test_json_blanks_are_null(self, capsys):
         code, out = run_cli(

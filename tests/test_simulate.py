@@ -3,7 +3,8 @@ import random
 import statistics
 from fractions import Fraction
 from functools import partial
-from itertools import islice
+from itertools import islice, repeat
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,15 +92,13 @@ class TestBlockDraws:
         draws = SplitMix64(seed).draws53()
         assert [next(draws) for _ in range(1200)] == scalar_draws(seed, 1200)
 
-    def test_iterator_leaves_stream_until_skip(self):
+    def test_iterator_leaves_stream(self):
         stream = SplitMix64(77)
         draws = stream.draws53()
         taken = [next(draws) for _ in range(5)]
         assert stream._state == 77
-        stream.skip(5)
-        assert stream._state == (77 + 5 * _GOLDEN) & MASK64
-        assert stream.next64() >> 11 == scalar_draws(77, 6)[5]
         assert taken == scalar_draws(77, 5)
+        assert stream.next64() >> 11 == taken[0]
 
     @pytest.mark.parametrize("byteorder", ["little", "big"])
     def test_lane_unpacking_on_either_byte_order(self, byteorder):
@@ -165,22 +164,23 @@ class TestRangeStreams:
         st.integers(0, 3),
         st.integers(1, 80),
     )
-    def test_runs_leave_the_reference_state(self, master, start, runs, k, max_steps):
-        # A complete run, then a run over its step budget, on each stream.
-        for budget in (DEFAULT_STEP_BUDGET, max_steps):
-            streams = streams_for_range(master, start, start + runs)
-            for i, stream in enumerate(streams):
-                reference = stream_for_run(master, start + i)
-                assert run_or_error(run_similar_sizes, k, stream, budget) == (
-                    run_or_error(_run_reference, k, reference, budget)
-                )
-                assert stream._state == reference._state
+    def test_runs_match_the_reference(self, master, start, runs, k, max_steps):
+        # A complete run at the tightest budget it fits, then a run at a
+        # small budget on the same stream, which the first run left as it was.
+        streams = streams_for_range(master, start, start + runs)
+        for i, stream in enumerate(streams):
+            reference = _run_reference(k, stream_for_run(master, start + i))
+            tight = reference.cost + reference.fusion_attempts - 1
+            assert run_similar_sizes(k, stream, max_steps=tight) == reference
+            assert run_or_error(run_similar_sizes, k, stream, max_steps) == run_or_error(
+                _run_reference, k, stream_for_run(master, start + i), max_steps
+            )
 
     def test_moved_stream_draws_from_its_state(self):
         # Once the state has left the seed, the computed head is not used.
         stream, reference = streams_for_range(-3, 10, 12)[1], stream_for_run(-3, 11)
-        stream.skip(5)
-        reference.skip(5)
+        for _ in range(5):
+            assert stream.next64() == reference.next64()
         assert stream.random() == reference.random()
         draws = stream.draws53()
         assert [next(draws) for _ in range(40)] == [
@@ -236,34 +236,37 @@ class ScriptedStream:
     def draws53(self):
         return iter(self.words[self.used :])
 
-    def skip(self, count):
-        self.used += count
-
     def random(self):
         self.used += 1
         return self.words[self.used - 1] * 2.0**-53
 
 
+def budget_message(k, max_steps):
+    return f"step budget {max_steps} exceeded at k={k}"
+
+
 class TestSimilarSizesRuns:
     def test_fast_loop_matches_reference(self):
         # k = 1 runs only in S_0 and S_1, the two buckets kept as counts.
+        # The kernel runs at the tightest budget the reference run fits, so
+        # a kernel that stops making progress fails here instead of hanging.
         for k in range(0, 7):
             for i in range({1: 300, 5: 3, 6: 2}.get(k, 25)):
-                seed_stream = stream_for_run(905, i + 100 * k)
-                ref_stream = stream_for_run(905, i + 100 * k)
-                start = seed_stream._state
-                result = run_similar_sizes(k, seed_stream)
-                assert result == _run_reference(k, ref_stream)
-                assert seed_stream._state == ref_stream._state
-                assert seed_stream._state == (start + result.fusion_attempts * _GOLDEN) & MASK64
+                reference = _run_reference(k, stream_for_run(905, i + 100 * k))
+                tight = reference.cost + reference.fusion_attempts - 1
+                stream = stream_for_run(905, i + 100 * k)
+                assert run_similar_sizes(k, stream, max_steps=tight) == reference
+                assert run_or_error(run_similar_sizes, k, stream, tight - 1) == (
+                    budget_message(k, tight - 1)
+                )
 
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_step_budget_matches_reference(self, k):
         for max_steps in range(301):
-            outcomes = []
-            for run in (run_similar_sizes, _run_reference):
-                stream = stream_for_run(6007, k)
-                outcomes.append((run_or_error(run, k, stream, max_steps), stream._state))
+            outcomes = [
+                run_or_error(run, k, stream_for_run(6007, k), max_steps)
+                for run in (run_similar_sizes, _run_reference)
+            ]
             assert outcomes[0] == outcomes[1], max_steps
 
     def test_threshold_draws_match_reference(self):
@@ -277,11 +280,21 @@ class TestSimilarSizesRuns:
         for k in (0, 1, 2, 3):
             for _ in range(150):
                 script = rng.choices(words, k=301)
-                outcomes = []
-                for run in (run_similar_sizes, _run_reference):
-                    stream = ScriptedStream(script)
-                    outcomes.append((run_or_error(run, k, stream, 300), stream.used))
+                outcomes = [
+                    run_or_error(run, k, ScriptedStream(script), 300)
+                    for run in (run_similar_sizes, _run_reference)
+                ]
                 assert outcomes[0] == outcomes[1], script
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("max_steps", [0, 5, 1000])
+    def test_endless_failures_exceed_the_budget(self, k, max_steps):
+        # Every fusion in S_0 fails, so the run never ends; the kernel must
+        # stop at the budget rather than loop.
+        stream = SimpleNamespace(draws53=lambda: repeat(_S0_RECYCLE))
+        assert run_or_error(run_similar_sizes, k, stream, max_steps) == (
+            budget_message(k, max_steps)
+        )
 
     def test_k0_costs_are_two_per_attempt(self):
         for i in range(50):
@@ -330,7 +343,8 @@ def assert_invariants_and_kernel(k, new_stream):
     states, all of its own sizes, and the size-index ledger balances: draws add 1 each,
     success conserves, recycle loses 2 (Bell-pair discards included) and
     failure loses ``n + m``.  The kernel on a second ``new_stream()`` must
-    then return the folded trace and end in the same stream state.
+    then return the folded trace at the tightest budget the run fits, and
+    raise the budget error at one less.
     """
     stream = new_stream()
     counts = dict.fromkeys(BRANCHES, 0)
@@ -347,9 +361,11 @@ def assert_invariants_and_kernel(k, new_stream):
             remaining + (step.final or 0) + 2 * counts[RECYCLE] + failure_loss
         )
     fold = RunResult(step.cost, step.final, sum(counts.values()), *counts.values())
-    fast_stream = new_stream()
-    assert run_similar_sizes(k, fast_stream) == fold
-    assert fast_stream._state == stream._state
+    tight = fold.cost + fold.fusion_attempts - 1
+    assert run_similar_sizes(k, new_stream(), max_steps=tight) == fold
+    assert run_or_error(run_similar_sizes, k, new_stream(), tight - 1) == (
+        budget_message(k, tight - 1)
+    )
 
 
 class TestTraceProperties:
@@ -472,7 +488,7 @@ def run_linear_strategy(
     :func:`wfuse.growth_costs.linear_recycled_costs`.
 
     Like :func:`run_similar_sizes`, each attempt takes one block draw from
-    ``rng`` and the stream ends advanced by the number of attempts.
+    ``rng``, and the stream does not move.
     """
     if target < 1:
         raise ValueError(f"target index must be >= 1, got {target}")
@@ -482,7 +498,6 @@ def run_linear_strategy(
     draws = rng.draws53()
     while size < target:
         if cost + attempts > max_steps:
-            rng.skip(attempts)
             raise RuntimeError(f"step budget {max_steps} exceeded")
         cost += 1  # fresh w_1 to fuse on
         attempts += 1
@@ -505,7 +520,6 @@ def run_linear_strategy(
             failures += 1
             cost += 1
             size = 1
-    rng.skip(attempts)
     return RunResult(cost, size, attempts, successes, recycles, failures)
 
 
@@ -540,15 +554,12 @@ class TestLinearStrategyRuns:
         assert abs(mean - expected) < 3 * math.sqrt(var / runs)
 
     def test_run_structure(self):
-        stream = stream_for_run(4, 0)
-        start = stream._state
-        result = run_linear_strategy(5, True, stream)
+        result = run_linear_strategy(5, True, stream_for_run(4, 0))
         assert result.final_size == 5
         assert result.cost >= 5
         assert result.fusion_attempts == (
             result.successes + result.recycles + result.failures
         )
-        assert stream._state == (start + result.fusion_attempts * _GOLDEN) & MASK64
 
     def test_matches_scalar_classification(self):
         # Mirror of the linear strategy on next64() and classify_uniform.
