@@ -17,8 +17,9 @@ A single fusion attempt on ``(w_n, w_m)`` has three outcomes:
 
 All probabilities are exact :class:`fractions.Fraction` values, and
 :func:`classify_uniform` maps a uniform variate to a branch by exact
-comparison.  This module says which branch an attempt takes; what the
-branch does to the states is applied in :mod:`wfuse.simulate`.
+comparison; :func:`threshold53` gives its branch edges for 53-bit draws.
+This module says which branch an attempt takes; what the branch does to
+the states is applied in :mod:`wfuse.simulate`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "OutcomeDistribution",
     "outcome_distribution",
     "classify_uniform",
+    "threshold53",
 ]
 
 SUCCESS = "success"
@@ -102,3 +104,17 @@ def classify_uniform(n: int, m: int, u) -> str:
         return RECYCLE
     return FAILURE
 
+
+def threshold53(n: int, m: int) -> tuple[int, int]:
+    """The branch edges of a 53-bit draw ``d`` fusing ``w_n`` with ``w_m``.
+
+    Returns ``(ceil(P_s * 2**53), ceil((P_s + P_r) * 2**53))``: exactly as
+    :func:`classify_uniform` classifies ``d * 2**-53``, ``d`` is a success
+    below the first edge, recyclable below the second and a failure from
+    there on.
+    """
+    _check_index(n, "n")
+    _check_index(m, "m")
+    denom = (n + 2) * (m + 2)
+    s = n + m + 2
+    return -(-(s << 53) // denom), -(-((s + (n + 1) * (m + 1)) << 53) // denom)

@@ -29,22 +29,21 @@ the upper half of a lane, and a 64x64-bit product fits in 128 bits, so no
 carry or shifted bit ever reaches a neighbouring lane's low 64 bits.  The
 lanes are unpacked with ``int.to_bytes`` in the host's byte order and a
 native ``memoryview.cast("Q")``, keeping the low word of each lane.  Every
-draw is therefore bit-identical to ``next64() >> 11``.  Taking block draws
-does not move a stream: a run reads its stream's draws from the stream's
-state and leaves that state as it was.
+draw is therefore bit-identical to ``next64() >> 11``.  Iterating a
+:class:`SplitMix64` yields its draws from its current state, computed in
+blocks, and does not move the stream.
 
-Range streams.  :func:`streams_for_range` serves a batch's runs ``start``
-to ``stop - 1`` with the same lane arithmetic.  One lane computation gives
+Range draws.  :func:`draws_for_range` serves a batch's runs ``start`` to
+``stop - 1`` with the same lane arithmetic.  One lane computation gives
 every seed ``mix64(master_seed + i)``: lane r holds ``master_seed + start
 + r`` modulo ``2**64``.  The seed lanes are copied with shifts so that
 lane ``j * runs + r`` holds seed r, and one more computation gives every
 run's first block of 16 draws, ``mix64(seed_r + (j+1)*gamma) >> 11``.
-Each stream's :meth:`~SplitMix64.draws53` yields that block and then
-computes blocks of 16, 32, 64, 128 and 256 draws from the next word on, so
-its draws are those of ``stream_for_run(master_seed, i)``: the range
-streams change no bit.  The refill starts at 16 rather than 32 because few
-runs reach far past the head: at k = 1 about 32% of runs need a 17th draw
-but under 9% a 33rd.
+Each run's iterator yields that block and then computes blocks of 16, 32,
+64, 128 and 256 draws from the next word on, so its draws are those of
+``stream_for_run(master_seed, i)``: the range draws change no bit.  The
+refill starts at 16 rather than 32 because few runs reach far past the
+head: at k = 1 about 32% of runs need a 17th draw but under 9% a 33rd.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ __all__ = [
     "block53",
     "SplitMix64",
     "stream_for_run",
-    "streams_for_range",
+    "draws_for_range",
 ]
 
 MASK64 = (1 << 64) - 1
@@ -67,8 +66,6 @@ MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
-
-_INV_2_53 = 2.0 ** -53
 
 # Stride through the 64-bit words of the lane bytes that picks each lane's
 # low word in lane order: little-endian bytes hold lane 0's low word first,
@@ -78,8 +75,8 @@ _STEP = _LANE_STEP[sys.byteorder]
 # Blocks of a stream start small, so short runs compute few unused words,
 # and double up to a cap that keeps the packed int a few kilobytes.  At
 # k = 1 about two runs in three end within the first block of 16 (about
-# 32% need a 17th draw), and a range stream refills with a second block of
-# 16 before doubling, since under 9% need a 33rd.
+# 32% need a 17th draw), and a run's range iterator refills with a second
+# block of 16 before doubling, since under 9% need a 33rd.
 _FIRST_BLOCK = 16
 _MAX_BLOCK = 256
 
@@ -156,7 +153,7 @@ def _blocks53(state: int, count: int = _FIRST_BLOCK):
 
 
 class SplitMix64:
-    """Minimal splitmix64 stream with a stdlib-``random``-style ``random()``."""
+    """Minimal splitmix64 stream; iterating it yields its 53-bit draws."""
 
     __slots__ = ("_state",)
 
@@ -168,16 +165,12 @@ class SplitMix64:
         self._state = (self._state + _GOLDEN) & MASK64
         return mix64(self._state)
 
-    def random(self) -> float:
-        """Uniform float in [0, 1) with 53 random bits (an exact dyadic)."""
-        return (self.next64() >> 11) * _INV_2_53
-
-    def draws53(self):
+    def __iter__(self):
         """Endless iterator over the draws ``next64() >> 11`` from here on.
 
         The draws are computed ahead in blocks (:func:`block53`), and taking
-        them does not move the stream: its state stays where it was when
-        the iterator was made.
+        them does not move the stream, so every iterator starts from the
+        state the stream has when it is made.
         """
         return chain.from_iterable(_blocks53(self._state))
 
@@ -194,24 +187,9 @@ def _head_then_blocks53(head: memoryview, seed: int):
     yield from _blocks53((seed + _FIRST_BLOCK * _GOLDEN) & MASK64)
 
 
-class _HeadStream(SplitMix64):
-    """A :class:`SplitMix64` whose first block of draws was computed ahead."""
-
-    __slots__ = ("_seed", "_head")
-
-    def __init__(self, seed: int, head: memoryview):
-        self._state = self._seed = seed
-        self._head = head
-
-    def draws53(self):
-        if self._state != self._seed:
-            return SplitMix64.draws53(self)
-        return chain.from_iterable(_head_then_blocks53(self._head, self._seed))
-
-
 @lru_cache(maxsize=8)
 def _range_constants(runs: int) -> tuple[int, int, int]:
-    """(ramp, steps, mask) for :func:`streams_for_range` over ``runs`` runs.
+    """(ramp, steps, mask) for :func:`draws_for_range` over ``runs`` runs.
 
     Lane r of ``ramp`` holds r.  ``steps`` and ``mask`` span the
     ``runs * _FIRST_BLOCK`` head lanes: lane ``j * runs + r`` of ``steps``
@@ -225,15 +203,17 @@ def _range_constants(runs: int) -> tuple[int, int, int]:
     return tuple(int.from_bytes(raw, "little") for raw in (ramp, steps, mask64))
 
 
-def streams_for_range(master_seed: int, start: int, stop: int) -> list[SplitMix64]:
-    """The streams of runs ``start`` to ``stop - 1``, as :func:`stream_for_run`.
+def draws_for_range(master_seed: int, start: int, stop: int):
+    """The draws of runs ``start`` to ``stop - 1``, as :func:`stream_for_run`.
 
-    Stream ``r`` is seeded ``mix64(master_seed + start + r)`` and its
-    :meth:`~SplitMix64.draws53` yields exactly the draws of
-    ``stream_for_run(master_seed, start + r)``.  The seeds are computed in
-    one lane computation, and every stream's first block of draws in one
-    more, so a run that ends within that block pays no block setup of its
-    own.
+    Returns an iterator over one endless draw iterator per run; the
+    ``r``-th holds exactly the draws of ``stream_for_run(master_seed,
+    start + r)``, whose seed is ``mix64(master_seed + start + r)``.  Each
+    is single-use: a run that reads it uses its draws up.  The seeds are
+    computed in one lane computation, and every run's first block of draws
+    in one more, so a run that ends within that block pays no block setup
+    of its own.  The draw iterators are made as they are taken, so only
+    the one in use holds a generator frame.
     """
     runs = stop - start
     ramp, head_steps, head_mask = _range_constants(runs)
@@ -254,4 +234,7 @@ def streams_for_range(master_seed: int, start: int, stop: int) -> list[SplitMix6
     # Bits 64..74 of each mixed lane are zero, so after the shift each
     # lane's low word is its 53-bit draw.
     heads = _lane_words(_mix_lanes(lanes, head_mask) >> 11, count)
-    return [_HeadStream(seed, heads[r::runs]) for r, seed in enumerate(seeds)]
+    return (
+        chain.from_iterable(_head_then_blocks53(heads[r::runs], seed))
+        for r, seed in enumerate(seeds)
+    )

@@ -29,13 +29,14 @@ bound at every trace step it checks.  The two lowest buckets hold a single
 size each (``S_0`` only ``w_1``, ``S_1`` only ``w_2``), so their order is
 moot and the fast kernel keeps them as counts.
 
-Randomness comes from the splitmix64 streams in :mod:`wfuse.rng`; run ``i``
-of a batch uses the stream seeded ``mix64(master_seed + i)``, which makes
+Randomness comes from the splitmix64 streams in :mod:`wfuse.rng`: a run
+reads 53-bit draws, one per fusion attempt, and run ``i`` of a batch reads
+the draws of the stream seeded ``mix64(master_seed + i)``, which makes
 batch results independent of execution order and parallelism.  A batch
 runs in contiguous ranges of run indices, each returning its costs and
 final sizes as integer arrays, and its mean and standard deviation come
-from exact integer sums.  Within a range the streams are seeded, and their
-first draws computed, for 256 runs at a time.
+from exact integer sums.  Within a range the runs' draws are seeded, and
+their first block computed, for 256 runs at a time.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ from .fusion_model import (
     SUCCESS,
     classify_uniform,
     outcome_distribution,
+    threshold53,
 )
-from .rng import streams_for_range
+from .rng import draws_for_range
 
 __all__ = [
     "RunResult",
@@ -70,7 +72,7 @@ __all__ = [
 ]
 
 DEFAULT_STEP_BUDGET = 10**9
-# Runs whose streams :func:`_run_range` seeds at once.
+# Runs whose draws :func:`_run_range` seeds at once.
 _RANGE_CHUNK = 256
 
 
@@ -156,20 +158,15 @@ def _finish(k, max_steps, cost, final_size, successes, recycles, failures) -> Ru
     return _tuple_new(RunResult, (cost, final_size, attempts, successes, recycles, failures))
 
 
-# Exact thresholds of classify_uniform(1, 1, u) on the 53-bit draw
-# u * 2**53: success below ceil(4 * 2**53 / 9), recyclable below
-# ceil(8 * 2**53 / 9), failure from there on.
-_S0_SUCCESS = ((4 << 53) + 8) // 9
-_S0_RECYCLE = ((8 << 53) + 8) // 9
-# The same for classify_uniform(2, 2, u): 3/8 and 15/16, exact because 16
-# divides 2**53.
-_S1_SUCCESS = 3 << 50
-_S1_RECYCLE = 15 << 49
+# Branch edges of the 53-bit draw for fusions in S_0 (w_1, w_1) and S_1
+# (w_2, w_2): success below the first, recyclable below the second.
+_S0_SUCCESS, _S0_RECYCLE = threshold53(1, 1)
+_S1_SUCCESS, _S1_RECYCLE = threshold53(2, 2)
 
 
 def run_similar_sizes(
     k: int,
-    rng,
+    draws,
     *,
     max_steps: int = DEFAULT_STEP_BUDGET,
 ) -> RunResult:
@@ -185,14 +182,13 @@ def run_similar_sizes(
     ``max_steps + 1``, since a run that needs more is over budget anyway;
     so a run that never ends raises too.
 
-    Each fusion attempt takes one draw ``next64() >> 11`` from ``rng``, a
-    :class:`wfuse.rng.SplitMix64`, in stream order; the draws come from
-    :meth:`~wfuse.rng.SplitMix64.draws53`, which computes them in blocks
-    and leaves the stream where it was.  ``fusion_attempts`` of the result
-    is the number of draws the run used.  A stream from
-    :func:`wfuse.rng.streams_for_range` has its first block computed ahead
-    with its batch's other runs; it yields the same draws, so the result
-    does not depend on which kind of stream ``rng`` is.
+    ``draws`` is an iterable of 53-bit draws, such as a
+    :class:`wfuse.rng.SplitMix64` (its draws ``next64() >> 11``, which
+    leave the stream where it was) or an iterator from
+    :func:`wfuse.rng.draws_for_range`.  It must be endless or hold at least
+    ``max_steps + 1`` draws; a shorter one that runs out raises the budget
+    error.  Each fusion attempt takes the next draw, so ``fusion_attempts``
+    of the result is the number of draws the run used.
 
     The loop below inlines the step helpers and the exact threshold
     classification for speed.  The two lowest buckets hold a single size
@@ -216,7 +212,7 @@ def run_similar_sizes(
     sets = [[] for _ in range(k + 2)] if k >= 2 else None
     c0 = c1 = 0
     cost = successes = recycles = failures = 0
-    draws = islice(rng.draws53(), max_steps + 1 if max_steps >= 0 else 0)
+    draws = islice(draws, max_steps + 1 if max_steps >= 0 else 0)
     while True:
         # One fusion per draw in S_0 and S_1.  Step 2 leaves the pointer at
         # S_1 exactly when it holds two states, and at S_0 otherwise; both
@@ -289,41 +285,43 @@ def run_similar_sizes(
     raise _budget_error(max_steps, k)
 
 
-def trace_similar_sizes(k: int, rng, *, max_steps: int = DEFAULT_STEP_BUDGET):
+def trace_similar_sizes(k: int, draws, *, max_steps: int = DEFAULT_STEP_BUDGET):
     """Yield a :class:`FusionStep` for every fusion attempt of one run.
 
-    This is the word-at-a-time mirror of :func:`run_similar_sizes`: it
-    drives the step helpers, draws through the scalar ``rng.random()`` and
-    classifies with :func:`wfuse.fusion_model.classify_uniform`, so it
-    shares no code with the kernel's block draws or its inlined thresholds.
-    Given the same stream it makes the same attempts and raises the same
-    ``RuntimeError`` at the same step budget, checked before every attempt.
-    Unlike the kernel it advances ``rng``, by one word per attempt.
+    This is the attempt-at-a-time mirror of :func:`run_similar_sizes`: it
+    drives the step helpers and classifies each draw ``d`` of ``draws`` as
+    the uniform ``d * 2**-53`` with
+    :func:`wfuse.fusion_model.classify_uniform`, so it shares no code with
+    the kernel's inlined thresholds.  ``draws`` is as for the kernel:
+    endless, or at least ``max_steps + 1`` draws long.  Given the same
+    draws it makes the same attempts and raises the same ``RuntimeError``
+    at the same step budget, checked before every attempt.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    draws = iter(draws)
     sets = [[] for _ in range(k + 2)]
     xi = cost = attempts = 0
     while True:
-        draws, xi = _settle(sets, xi)
-        cost += draws
+        fresh, xi = _settle(sets, xi)
+        cost += fresh
         if cost + attempts > max_steps:
             raise _budget_error(max_steps, k)
         level = xi
         n = sets[xi].pop(0)
         m = sets[xi].pop(0)
         attempts += 1
-        branch = classify_uniform(n, m, rng.random())
+        branch = classify_uniform(n, m, next(draws) * 2.0**-53)
         final, xi = _apply_branch(sets, xi, n, m, branch, k)
         yield FusionStep(level, n, m, branch, cost, tuple(map(tuple, sets)), final)
         if final is not None:
             return
 
 
-def _run_reference(k: int, rng, *, max_steps: int = DEFAULT_STEP_BUDGET) -> RunResult:
+def _run_reference(k: int, draws, *, max_steps: int = DEFAULT_STEP_BUDGET) -> RunResult:
     """The :class:`RunResult` of :func:`trace_similar_sizes`, folded."""
     counts = dict.fromkeys(BRANCHES, 0)
-    for step in trace_similar_sizes(k, rng, max_steps=max_steps):
+    for step in trace_similar_sizes(k, draws, max_steps=max_steps):
         counts[step.branch] += 1
     return RunResult(step.cost, step.final, sum(counts.values()), *counts.values())
 
@@ -350,7 +348,7 @@ class BatchStats(
 def _run_range(args) -> tuple[array, array]:
     """Costs and final sizes of runs ``start`` to ``stop - 1`` of a batch.
 
-    The streams are made :data:`_RANGE_CHUNK` runs at a time.  Every run
+    The draws are made :data:`_RANGE_CHUNK` runs at a time.  Every run
     calls the module-global ``run_similar_sizes``, so a wrapper put there
     sees each run.
     """
@@ -358,8 +356,8 @@ def _run_range(args) -> tuple[array, array]:
     costs = array("q")
     sizes = array("q")
     for lo in range(start, stop, _RANGE_CHUNK):
-        for stream in streams_for_range(master_seed, lo, min(lo + _RANGE_CHUNK, stop)):
-            result = run_similar_sizes(k, stream)
+        for draws in draws_for_range(master_seed, lo, min(lo + _RANGE_CHUNK, stop)):
+            result = run_similar_sizes(k, draws)
             costs.append(result.cost)
             sizes.append(result.final_size)
     return costs, sizes
@@ -415,11 +413,11 @@ def simulate_batch(
 ) -> BatchStats:
     """Run the similar-sizes strategy ``runs`` times with derived seeds.
 
-    Run ``i`` uses the stream seeded ``mix64(master_seed + i)``, so the
-    per-run cost vector is a pure function of ``(k, runs, master_seed)``
-    and identical for any ``workers`` setting.  The streams come from
-    :func:`wfuse.rng.streams_for_range`, 256 runs at a time, which seeds
-    them and computes their first draws together; every run is
+    Run ``i`` reads the draws of the stream seeded ``mix64(master_seed +
+    i)``, so the per-run cost vector is a pure function of ``(k, runs,
+    master_seed)`` and identical for any ``workers`` setting.  The draws
+    come from :func:`wfuse.rng.draws_for_range`, 256 runs at a time, which
+    seeds them and computes their first block together; every run is
     bit-identical to ``run_similar_sizes(k, stream_for_run(master_seed,
     i))``.  With ``workers > 1`` the runs go to ``pool`` (from
     :func:`worker_pool`) when one is given, and to a pool started for this

@@ -5,6 +5,7 @@ Each test prints one ``[ACCEPTANCE nn] PASS/FAIL`` line (visible with
 configurable.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -203,10 +204,14 @@ def test_criterion_10_cli_determinism():
             sys.executable, "-m", "wfuse",
             "simulate", "--k", "4", "--runs", "1000", "--seed", "99",
         ]
-        first = subprocess.run(base, capture_output=True, check=True)
-        second = subprocess.run(base, capture_output=True, check=True)
+        path = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+        )
+        env = {**os.environ, "PYTHONPATH": path}
+        first = subprocess.run(base, capture_output=True, check=True, env=env)
+        second = subprocess.run(base, capture_output=True, check=True, env=env)
         parallel = subprocess.run(
-            base + ["--workers", "2"], capture_output=True, check=True
+            base + ["--workers", "2"], capture_output=True, check=True, env=env
         )
         assert first.stdout == second.stdout == parallel.stdout
         assert first.stdout

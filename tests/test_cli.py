@@ -471,8 +471,10 @@ class TestSubprocessDeterminism:
             sys.executable, "-m", "wfuse",
             "simulate", "--k", "2", "--runs", "150", "--seed", "77",
         ]
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, check=True, env=env)
         assert first.stdout == second.stdout
         assert first.stdout.endswith(b"\n")
 

@@ -92,7 +92,7 @@ class TestSampling:
         rng = SplitMix64(2024)
         counts = {"success": 0, "recycle": 0, "failure": 0}
         for _ in range(draws):
-            counts[classify_uniform(n, m, rng.random())] += 1
+            counts[classify_uniform(n, m, (rng.next64() >> 11) * 2.0**-53)] += 1
         dist = outcome_distribution(n, m)
         for branch, p in (
             ("success", dist.p_success),

@@ -2,14 +2,19 @@ import math
 import random
 import statistics
 from fractions import Fraction
-from functools import partial
 from itertools import islice, repeat
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wfuse.fusion_model import BRANCHES, FAILURE, RECYCLE, SUCCESS, classify_uniform
+from wfuse.fusion_model import (
+    BRANCHES,
+    FAILURE,
+    RECYCLE,
+    SUCCESS,
+    classify_uniform,
+    threshold53,
+)
 from wfuse.growth_costs import linear_recycled_costs, w3_linear_cost
 from wfuse.rng import (
     _GOLDEN,
@@ -18,9 +23,9 @@ from wfuse.rng import (
     MASK64,
     SplitMix64,
     block53,
+    draws_for_range,
     mix64,
     stream_for_run,
-    streams_for_range,
 )
 from wfuse.simulate import (
     DEFAULT_STEP_BUDGET,
@@ -58,14 +63,6 @@ class TestRngContract:
             487617019471545679,
         ]
 
-    def test_uniform_is_53_bit_dyadic(self):
-        stream = SplitMix64(9)
-        for _ in range(100):
-            u = stream.random()
-            num, den = u.as_integer_ratio()
-            assert 0 <= u < 1
-            assert den <= 2**53 and 2**53 % den == 0
-
     def test_per_run_derivation(self):
         assert stream_for_run(42, 0).next64() == SplitMix64(mix64(42)).next64()
         assert stream_for_run(40, 2).next64() == SplitMix64(mix64(42)).next64()
@@ -79,6 +76,10 @@ def scalar_draws(seed, count):
 # The last seed puts the 2**64 counter wrap three words into the stream.
 BLOCK_SEEDS = [0, 1, 2**63, 2**64 - 1, (-3 * _GOLDEN) & MASK64]
 
+# Fusions in S_0 to S_3 whose branch thresholds the tests probe; (2, 2) and
+# (6, 6) have thresholds that are exact multiples of their denominator.
+THRESHOLD_PAIRS = ((1, 1), (2, 2), (3, 3), (3, 4), (4, 4), (6, 6))
+
 
 class TestBlockDraws:
     @pytest.mark.parametrize("seed", BLOCK_SEEDS)
@@ -89,12 +90,12 @@ class TestBlockDraws:
     @pytest.mark.parametrize("seed", BLOCK_SEEDS)
     def test_iterator_crosses_block_boundaries(self, seed):
         # 1200 draws span the growing blocks up to and past the size cap.
-        draws = SplitMix64(seed).draws53()
+        draws = iter(SplitMix64(seed))
         assert [next(draws) for _ in range(1200)] == scalar_draws(seed, 1200)
 
     def test_iterator_leaves_stream(self):
         stream = SplitMix64(77)
-        draws = stream.draws53()
+        draws = iter(stream)
         taken = [next(draws) for _ in range(5)]
         assert stream._state == 77
         assert taken == scalar_draws(77, 5)
@@ -109,24 +110,21 @@ class TestBlockDraws:
         words = [int.from_bytes(raw[i : i + 8], byteorder) for i in range(0, len(raw), 8)]
         assert words[:: _LANE_STEP[byteorder]] == scalar_draws(2**64 - 1, count)
 
-    def test_s0_thresholds_are_the_exact_ones(self):
-        for draw, branch in (
-            (_S0_SUCCESS - 1, SUCCESS),
-            (_S0_SUCCESS, RECYCLE),
-            (_S0_RECYCLE - 1, RECYCLE),
-            (_S0_RECYCLE, FAILURE),
-        ):
-            assert classify_uniform(1, 1, draw * 2.0**-53) == branch
-
-    def test_s1_thresholds_are_the_exact_ones(self):
+    def test_thresholds_are_the_exact_ones(self):
+        # The pairs of the threshold-draw test, then every n, m <= 12.
+        assert (_S0_SUCCESS, _S0_RECYCLE) == threshold53(1, 1)
         assert (_S1_SUCCESS, _S1_RECYCLE) == (3377699720527872, 8444249301319680)
-        for draw, branch in (
-            (3377699720527871, SUCCESS),
-            (3377699720527872, RECYCLE),
-            (8444249301319679, RECYCLE),
-            (8444249301319680, FAILURE),
-        ):
-            assert classify_uniform(2, 2, draw * 2.0**-53) == branch
+        assert (_S1_SUCCESS, _S1_RECYCLE) == threshold53(2, 2)
+        sweep = [(n, m) for n in range(13) for m in range(13)]
+        for n, m in THRESHOLD_PAIRS + tuple(sweep):
+            success, recycle = threshold53(n, m)
+            for draw, branch in (
+                (success - 1, SUCCESS),
+                (success, RECYCLE),
+                (recycle - 1, RECYCLE),
+                (recycle, FAILURE),
+            ):
+                assert classify_uniform(n, m, draw * 2.0**-53) == branch, (n, m, draw)
 
 
 # Master seeds for the range streams: negatives and values of 2**64 or more
@@ -147,14 +145,12 @@ class TestRangeStreams:
     def test_draws_match_stream_for_run(self, master, start, runs):
         # 130 draws cross the boundaries after the head (16) and the 16-,
         # 32- and 64-draw blocks: draws 16, 32, 64 and 128.
-        streams = streams_for_range(master, start, start + runs)
-        assert len(streams) == runs
-        for i, stream in enumerate(streams):
+        ranges = list(draws_for_range(master, start, start + runs))
+        assert len(ranges) == runs
+        for i, draws in enumerate(ranges):
             reference = stream_for_run(master, start + i)
-            assert stream._state == reference._state
             expected = [reference.next64() >> 11 for _ in range(130)]
-            assert list(islice(stream.draws53(), 130)) == expected
-            assert stream._state == stream_for_run(master, start + i)._state
+            assert list(islice(draws, 130)) == expected
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -166,26 +162,18 @@ class TestRangeStreams:
     )
     def test_runs_match_the_reference(self, master, start, runs, k, max_steps):
         # A complete run at the tightest budget it fits, then a run at a
-        # small budget on the same stream, which the first run left as it was.
-        streams = streams_for_range(master, start, start + runs)
-        for i, stream in enumerate(streams):
-            reference = _run_reference(k, stream_for_run(master, start + i))
+        # small budget on the range built again, since a run uses its
+        # range iterator up.
+        complete = draws_for_range(master, start, start + runs)
+        small = draws_for_range(master, start, start + runs)
+        for i, (draws, again) in enumerate(zip(complete, small)):
+            stream = stream_for_run(master, start + i)
+            reference = _run_reference(k, stream)
             tight = reference.cost + reference.fusion_attempts - 1
-            assert run_similar_sizes(k, stream, max_steps=tight) == reference
-            assert run_or_error(run_similar_sizes, k, stream, max_steps) == run_or_error(
-                _run_reference, k, stream_for_run(master, start + i), max_steps
+            assert run_similar_sizes(k, draws, max_steps=tight) == reference
+            assert run_or_error(run_similar_sizes, k, again, max_steps) == run_or_error(
+                _run_reference, k, stream, max_steps
             )
-
-    def test_moved_stream_draws_from_its_state(self):
-        # Once the state has left the seed, the computed head is not used.
-        stream, reference = streams_for_range(-3, 10, 12)[1], stream_for_run(-3, 11)
-        for _ in range(5):
-            assert stream.next64() == reference.next64()
-        assert stream.random() == reference.random()
-        draws = stream.draws53()
-        assert [next(draws) for _ in range(40)] == [
-            reference.next64() >> 11 for _ in range(40)
-        ]
 
 
 class TestBuckets:
@@ -210,35 +198,15 @@ class TestBuckets:
 
 def threshold_words(n, m):
     """The 53-bit draws one below and at each branch threshold of ``(w_n, w_m)``."""
-    denom = (n + 2) * (m + 2)
-    words = []
-    for num in (n + m + 2, n + m + 2 + (n + 1) * (m + 1)):
-        edge = -(-(num << 53) // denom)
-        words += [edge - 1, edge]
-    return words
+    return [word for edge in threshold53(n, m) for word in (edge - 1, edge)]
 
 
-def run_or_error(run, k, stream, max_steps):
+def run_or_error(run, k, draws, max_steps):
     """The result of one run, or the message of its ``RuntimeError``."""
     try:
-        return run(k, stream, max_steps=max_steps)
+        return run(k, draws, max_steps=max_steps)
     except RuntimeError as exc:
         return str(exc)
-
-
-class ScriptedStream:
-    """A stand-in for :class:`SplitMix64` whose 53-bit draws are ``words``."""
-
-    def __init__(self, words):
-        self.words = words
-        self.used = 0
-
-    def draws53(self):
-        return iter(self.words[self.used :])
-
-    def random(self):
-        self.used += 1
-        return self.words[self.used - 1] * 2.0**-53
 
 
 def budget_message(k, max_steps):
@@ -252,9 +220,9 @@ class TestSimilarSizesRuns:
         # a kernel that stops making progress fails here instead of hanging.
         for k in range(0, 7):
             for i in range({1: 300, 5: 3, 6: 2}.get(k, 25)):
-                reference = _run_reference(k, stream_for_run(905, i + 100 * k))
-                tight = reference.cost + reference.fusion_attempts - 1
                 stream = stream_for_run(905, i + 100 * k)
+                reference = _run_reference(k, stream)
+                tight = reference.cost + reference.fusion_attempts - 1
                 assert run_similar_sizes(k, stream, max_steps=tight) == reference
                 assert run_or_error(run_similar_sizes, k, stream, tight - 1) == (
                     budget_message(k, tight - 1)
@@ -272,16 +240,14 @@ class TestSimilarSizesRuns:
     def test_threshold_draws_match_reference(self):
         # Every draw sits at a branch threshold of a fusion in S_0 to S_3,
         # where the kernel's inlined comparisons and classify_uniform must
-        # agree exactly; (2, 2) and (6, 6) have thresholds that are exact
-        # multiples of their denominator.
-        pairs = ((1, 1), (2, 2), (3, 3), (3, 4), (4, 4), (6, 6))
-        words = [w for n, m in pairs for w in threshold_words(n, m)]
+        # agree exactly.
+        words = [w for n, m in THRESHOLD_PAIRS for w in threshold_words(n, m)]
         rng = random.Random(5)
         for k in (0, 1, 2, 3):
             for _ in range(150):
                 script = rng.choices(words, k=301)
                 outcomes = [
-                    run_or_error(run, k, ScriptedStream(script), 300)
+                    run_or_error(run, k, script, 300)
                     for run in (run_similar_sizes, _run_reference)
                 ]
                 assert outcomes[0] == outcomes[1], script
@@ -291,14 +257,14 @@ class TestSimilarSizesRuns:
     def test_endless_failures_exceed_the_budget(self, k, max_steps):
         # Every fusion in S_0 fails, so the run never ends; the kernel must
         # stop at the budget rather than loop.
-        stream = SimpleNamespace(draws53=lambda: repeat(_S0_RECYCLE))
-        assert run_or_error(run_similar_sizes, k, stream, max_steps) == (
+        draws = repeat(_S0_RECYCLE)
+        assert run_or_error(run_similar_sizes, k, draws, max_steps) == (
             budget_message(k, max_steps)
         )
 
     def test_k0_costs_are_two_per_attempt(self):
         for i in range(50):
-            result = run_similar_sizes(0, stream_for_run(3, i))
+            result = run_similar_sizes(0, stream_for_run(3, i), max_steps=10**6)
             assert result.cost == 2 * result.fusion_attempts
             assert result.successes == 1
             assert result.final_size == 2
@@ -306,7 +272,7 @@ class TestSimilarSizesRuns:
     def test_final_size_exceeds_target_threshold(self):
         for k in range(0, 5):
             for i in range(10):
-                result = run_similar_sizes(k, stream_for_run(81, i))
+                result = run_similar_sizes(k, stream_for_run(81, i), max_steps=10**6)
                 assert result.final_size > 2**k
                 assert result.cost >= result.final_size
                 assert result.successes >= 1
@@ -336,17 +302,16 @@ class TestSimilarSizesRuns:
             next(trace_similar_sizes(-1, SplitMix64(0)))
 
 
-def assert_invariants_and_kernel(k, new_stream):
+def assert_invariants_and_kernel(k, stream):
     """Check one run's trace step by step, then the kernel against it.
 
-    Along the trace on ``new_stream()``, every bucket holds at most two
-    states, all of its own sizes, and the size-index ledger balances: draws add 1 each,
-    success conserves, recycle loses 2 (Bell-pair discards included) and
-    failure loses ``n + m``.  The kernel on a second ``new_stream()`` must
-    then return the folded trace at the tightest budget the run fits, and
-    raise the budget error at one less.
+    Along the trace on the draws of ``stream``, every bucket holds at most
+    two states, all of its own sizes, and the size-index ledger balances:
+    draws add 1 each, success conserves, recycle loses 2 (Bell-pair
+    discards included) and failure loses ``n + m``.  The kernel on the same
+    draws must then return the folded trace at the tightest budget the run
+    fits, and raise the budget error at one less.
     """
-    stream = new_stream()
     counts = dict.fromkeys(BRANCHES, 0)
     failure_loss = 0
     for step in trace_similar_sizes(k, stream):
@@ -362,8 +327,8 @@ def assert_invariants_and_kernel(k, new_stream):
         )
     fold = RunResult(step.cost, step.final, sum(counts.values()), *counts.values())
     tight = fold.cost + fold.fusion_attempts - 1
-    assert run_similar_sizes(k, new_stream(), max_steps=tight) == fold
-    assert run_or_error(run_similar_sizes, k, new_stream(), tight - 1) == (
+    assert run_similar_sizes(k, stream, max_steps=tight) == fold
+    assert run_or_error(run_similar_sizes, k, stream, tight - 1) == (
         budget_message(k, tight - 1)
     )
 
@@ -372,12 +337,12 @@ class TestTraceProperties:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 3), st.integers(0, 2**64 - 1))
     def test_invariants_along_the_trace(self, k, seed):
-        assert_invariants_and_kernel(k, partial(SplitMix64, seed))
+        assert_invariants_and_kernel(k, SplitMix64(seed))
 
     def test_invariants_on_larger_runs(self):
         for i in range(5):
-            assert_invariants_and_kernel(5, partial(stream_for_run, 512, i))
-        assert_invariants_and_kernel(6, partial(stream_for_run, 512, 5))
+            assert_invariants_and_kernel(5, stream_for_run(512, i))
+        assert_invariants_and_kernel(6, stream_for_run(512, 5))
 
 
 class TestBatches:
@@ -410,7 +375,10 @@ class TestBatches:
         # 513 runs crosses the 256-run chunks of the range streams.
         for runs in (6, _RANGE_CHUNK + 1, 2 * _RANGE_CHUNK + 1):
             for k in range(4):
-                replay = [run_similar_sizes(k, stream_for_run(-11, i)) for i in range(runs)]
+                replay = [
+                    run_similar_sizes(k, stream_for_run(-11, i), max_steps=10**6)
+                    for i in range(runs)
+                ]
                 costs = [result.cost for result in replay]
                 sizes = [result.final_size for result in replay]
                 for workers in (1, 2, 3):
@@ -473,7 +441,7 @@ class TestExactChainOracle:
 def run_linear_strategy(
     target: int,
     recycle: bool,
-    rng,
+    draws,
     *,
     max_steps: int = DEFAULT_STEP_BUDGET,
 ) -> RunResult:
@@ -487,15 +455,15 @@ def run_linear_strategy(
     restarts; the expected cost matches
     :func:`wfuse.growth_costs.linear_recycled_costs`.
 
-    Like :func:`run_similar_sizes`, each attempt takes one block draw from
-    ``rng``, and the stream does not move.
+    Like :func:`run_similar_sizes`, each attempt takes the next 53-bit
+    draw of ``draws``.
     """
     if target < 1:
         raise ValueError(f"target index must be >= 1, got {target}")
     cost = 1  # the seed w_1
     size = 1
     attempts = successes = recycles = failures = 0
-    draws = rng.draws53()
+    draws = iter(draws)
     while size < target:
         if cost + attempts > max_steps:
             raise RuntimeError(f"step budget {max_steps} exceeded")
@@ -570,7 +538,8 @@ class TestLinearStrategyRuns:
                 while size < 6:
                     cost += 1
                     attempts += 1
-                    branch = classify_uniform(size, 1, stream.random())
+                    u = (stream.next64() >> 11) * 2.0**-53
+                    branch = classify_uniform(size, 1, u)
                     if branch == SUCCESS:
                         size += 1
                     elif branch == RECYCLE and recycle:
