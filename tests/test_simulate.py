@@ -2,7 +2,7 @@ import math
 import random
 import statistics
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import islice, product, repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,10 +76,6 @@ def scalar_draws(seed, count):
 # The last seed puts the 2**64 counter wrap three words into the stream.
 BLOCK_SEEDS = [0, 1, 2**63, 2**64 - 1, (-3 * _GOLDEN) & MASK64]
 
-# Fusions in S_0 to S_3 whose branch thresholds the tests probe; (2, 2) and
-# (6, 6) have thresholds that are exact multiples of their denominator.
-THRESHOLD_PAIRS = ((1, 1), (2, 2), (3, 3), (3, 4), (4, 4), (6, 6))
-
 
 class TestBlockDraws:
     @pytest.mark.parametrize("seed", BLOCK_SEEDS)
@@ -111,12 +107,11 @@ class TestBlockDraws:
         assert words[:: _LANE_STEP[byteorder]] == scalar_draws(2**64 - 1, count)
 
     def test_thresholds_are_the_exact_ones(self):
-        # The pairs of the threshold-draw test, then every n, m <= 12.
+        # Every n, m <= 12, the pairs of the threshold-draw test included.
         assert (_S0_SUCCESS, _S0_RECYCLE) == threshold53(1, 1)
         assert (_S1_SUCCESS, _S1_RECYCLE) == (3377699720527872, 8444249301319680)
         assert (_S1_SUCCESS, _S1_RECYCLE) == threshold53(2, 2)
-        sweep = [(n, m) for n in range(13) for m in range(13)]
-        for n, m in THRESHOLD_PAIRS + tuple(sweep):
+        for n, m in product(range(13), repeat=2):
             success, recycle = threshold53(n, m)
             for draw, branch in (
                 (success - 1, SUCCESS),
@@ -240,8 +235,10 @@ class TestSimilarSizesRuns:
     def test_threshold_draws_match_reference(self):
         # Every draw sits at a branch threshold of a fusion in S_0 to S_3,
         # where the kernel's inlined comparisons and classify_uniform must
-        # agree exactly.
-        words = [w for n, m in THRESHOLD_PAIRS for w in threshold_words(n, m)]
+        # agree exactly; (2, 2) and (6, 6) have thresholds that are exact
+        # multiples of their denominator.
+        pairs = ((1, 1), (2, 2), (3, 3), (3, 4), (4, 4), (6, 6))
+        words = [w for n, m in pairs for w in threshold_words(n, m)]
         rng = random.Random(5)
         for k in (0, 1, 2, 3):
             for _ in range(150):
