@@ -106,20 +106,30 @@ class TestBlockDraws:
         words = [int.from_bytes(raw[i : i + 8], byteorder) for i in range(0, len(raw), 8)]
         assert words[:: _LANE_STEP[byteorder]] == scalar_draws(2**64 - 1, count)
 
-    def test_thresholds_are_the_exact_ones(self):
-        # Every n, m <= 12, the pairs of the threshold-draw test included.
+    def test_s0_thresholds_are_the_exact_ones(self):
         assert (_S0_SUCCESS, _S0_RECYCLE) == threshold53(1, 1)
+        assert_edges_classify(1, 1, _S0_SUCCESS, _S0_RECYCLE)
+
+    def test_s1_thresholds_are_the_exact_ones(self):
         assert (_S1_SUCCESS, _S1_RECYCLE) == (3377699720527872, 8444249301319680)
         assert (_S1_SUCCESS, _S1_RECYCLE) == threshold53(2, 2)
+        assert_edges_classify(2, 2, _S1_SUCCESS, _S1_RECYCLE)
+
+    def test_thresholds_are_the_exact_ones(self):
+        # Every n, m <= 12, the pairs of the threshold-draw test included.
         for n, m in product(range(13), repeat=2):
-            success, recycle = threshold53(n, m)
-            for draw, branch in (
-                (success - 1, SUCCESS),
-                (success, RECYCLE),
-                (recycle - 1, RECYCLE),
-                (recycle, FAILURE),
-            ):
-                assert classify_uniform(n, m, draw * 2.0**-53) == branch, (n, m, draw)
+            assert_edges_classify(n, m, *threshold53(n, m))
+
+
+def assert_edges_classify(n, m, success, recycle):
+    """The draws just below and at each 53-bit edge take the exact branches."""
+    for draw, branch in (
+        (success - 1, SUCCESS),
+        (success, RECYCLE),
+        (recycle - 1, RECYCLE),
+        (recycle, FAILURE),
+    ):
+        assert classify_uniform(n, m, draw * 2.0**-53) == branch, (n, m, draw)
 
 
 # Master seeds for the range streams: negatives and values of 2**64 or more
