@@ -15,11 +15,16 @@ A single fusion attempt on ``(w_n, w_m)`` has three outcomes:
   ``(n+1)(m+1)/((n+2)(m+2))``
 * failure     -- both states destroyed, probability ``1/((n+2)(m+2))``
 
-All probabilities are exact :class:`fractions.Fraction` values, and
-:func:`classify_uniform` maps a uniform variate to a branch by exact
-comparison; :func:`threshold53` gives its branch edges for 53-bit draws.
-This module says which branch an attempt takes; what the branch does to
-the states is applied in :mod:`wfuse.simulate`.
+This module is the only place in the library that states this law: one
+private helper gives its integer weights, and the three public forms are
+built on it.  :func:`outcome_distribution` gives the probabilities as
+exact :class:`fractions.Fraction` values, :func:`classify_uniform` maps a
+uniform variate to a branch by exact comparison, and :func:`threshold53`
+gives its branch edges for 53-bit draws.  The Monte Carlo kernel compares
+its draws with those edges, and the gate verifier in :mod:`wfuse.gate`
+compares the gate's amplitudes with :func:`outcome_distribution`.  This
+module says which branch an attempt takes; what the branch does to the
+states is applied in :mod:`wfuse.simulate`.
 """
 
 from __future__ import annotations
@@ -44,12 +49,19 @@ FAILURE = "failure"
 BRANCHES = (SUCCESS, RECYCLE, FAILURE)
 
 
-def _check_index(n: int, name: str = "n") -> int:
+def _check_index(n: int, name: str) -> None:
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError(f"{name} must be an int, got {type(n).__name__}")
     if n < 0:
         raise ValueError(f"{name} must be >= 0, got {n}")
-    return n
+
+
+def _weights(n: int, m: int) -> tuple[int, int, int]:
+    """The law itself: integer weights ``(success, recyclable, total)``;
+    failure has weight 1, the rest of the total."""
+    _check_index(n, "n")
+    _check_index(m, "m")
+    return n + m + 2, (n + 1) * (m + 1), (n + 2) * (m + 2)
 
 
 class OutcomeDistribution(
@@ -71,14 +83,8 @@ class OutcomeDistribution(
 
 def outcome_distribution(n: int, m: int) -> OutcomeDistribution:
     """Exact (P_s, P_r, P_f) for fusing ``w_n`` with ``w_m``."""
-    _check_index(n, "n")
-    _check_index(m, "m")
-    denom = (n + 2) * (m + 2)
-    return OutcomeDistribution(
-        p_success=Fraction(n + m + 2, denom),
-        p_recycle=Fraction((n + 1) * (m + 1), denom),
-        p_failure=Fraction(1, denom),
-    )
+    s, r, denom = _weights(n, m)
+    return OutcomeDistribution(Fraction(s, denom), Fraction(r, denom), Fraction(1, denom))
 
 
 def classify_uniform(n: int, m: int, u) -> str:
@@ -90,17 +96,14 @@ def classify_uniform(n: int, m: int, u) -> str:
     is classified by its precise dyadic value and never by a rounded
     threshold.  This ordering is part of the reproducibility contract.
     """
-    _check_index(n, "n")
-    _check_index(m, "m")
+    s, r, denom = _weights(n, m)
     num, den = u.as_integer_ratio()
     if num < 0 or num >= den:
         raise ValueError(f"uniform variate {u} outside [0, 1)")
-    denom = (n + 2) * (m + 2)
     lhs = num * denom
-    s = n + m + 2
     if lhs < s * den:
         return SUCCESS
-    if lhs < (s + (n + 1) * (m + 1)) * den:
+    if lhs < (s + r) * den:
         return RECYCLE
     return FAILURE
 
@@ -113,8 +116,5 @@ def threshold53(n: int, m: int) -> tuple[int, int]:
     below the first edge, recyclable below the second and a failure from
     there on.
     """
-    _check_index(n, "n")
-    _check_index(m, "m")
-    denom = (n + 2) * (m + 2)
-    s = n + m + 2
-    return -(-(s << 53) // denom), -(-((s + (n + 1) * (m + 1)) << 53) // denom)
+    s, r, denom = _weights(n, m)
+    return -(-(s << 53) // denom), -(-((s + r) << 53) // denom)

@@ -38,8 +38,9 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Dict, Optional, Tuple
 
+from .fusion_model import BRANCHES, outcome_distribution
+
 __all__ = [
-    "TOLERANCE",
     "SparseState",
     "GateReport",
     "GateCheck",
@@ -50,11 +51,6 @@ __all__ = [
     "check_decomposition",
     "COINCIDENCE_PATTERNS",
 ]
-
-# Unused here, where every comparison is exact; exported only because
-# acceptance criterion 06 (tests/test_acceptance.py) imports it to compare
-# the exact values with float closed forms.
-TOLERANCE = 1e-12
 
 # Detector breakdown keys: which detectors fired, and the D/Dbar results
 # for coincidences (D1 result first).
@@ -308,8 +304,10 @@ class GateCheck(
 def verify_probabilities(n_photons: int, m_photons: int) -> GateCheck:
     """Fuse fresh W states of the given sizes and compare with closed forms.
 
-    Expected branch probabilities for actual sizes (N, M): success
-    ``(N+M-2)/NM``, recyclable ``(N-1)(M-1)/NM``, failure ``1/NM``.  The
+    The expected branch probabilities for actual sizes (N, M) are those of
+    :func:`wfuse.fusion_model.outcome_distribution` for ``w_{N-2}`` and
+    ``w_{M-2}``: the gate's amplitudes, computed here on their own, are
+    checked against the very law the Monte Carlo simulator samples.  The
     fidelity entries check the post-measurement states: the merged state
     against ``W_{N+M-2}``, each recycled part against the one-smaller W
     state (a single V photon for a Bell pair), and the failure remainder
@@ -318,17 +316,10 @@ def verify_probabilities(n_photons: int, m_photons: int) -> GateCheck:
     if n_photons < 2 or m_photons < 2:
         raise ValueError("W states need at least 2 photons")
     report = fuse(make_w_state(n_photons), make_w_state(m_photons))
-    denom = n_photons * m_photons
-    analytic = {
-        "success": Fraction(n_photons + m_photons - 2, denom),
-        "recycle": Fraction((n_photons - 1) * (m_photons - 1), denom),
-        "failure": Fraction(1, denom),
-    }
-    simulated = {
-        "success": report.p_success,
-        "recycle": report.p_recycle,
-        "failure": report.p_failure,
-    }
+    analytic = dict(zip(BRANCHES, outcome_distribution(n_photons - 2, m_photons - 2)))
+    simulated = dict(
+        zip(BRANCHES, (report.p_success, report.p_recycle, report.p_failure))
+    )
     left, right = report.post_recycle_states
     survivors = "H" * (n_photons + m_photons - 2)
     fidelities = {

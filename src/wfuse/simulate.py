@@ -25,9 +25,9 @@ step 2 walk it down as needed.  No bucket has been seen to hold more than
 two states: enumerating every reachable configuration through k = 6
 (32,064 chain states at k = 6) finds no third state, and neither do
 913,369 sampled trace steps at k = 7 and 8.  The test suite asserts the
-bound at every trace step it checks.  The two lowest buckets hold a single
-size each (``S_0`` only ``w_1``, ``S_1`` only ``w_2``), so their order is
-moot and the fast kernel keeps them as counts.
+bound at every trace step it checks, on runs at every k up to 8.  The two
+lowest buckets hold a single size each (``S_0`` only ``w_1``, ``S_1`` only
+``w_2``), so their order is moot and the fast kernel keeps them as counts.
 
 Randomness comes from the splitmix64 streams in :mod:`wfuse.rng`: a run
 reads 53-bit draws, one per fusion attempt, and run ``i`` of a batch reads
@@ -46,6 +46,7 @@ from array import array
 from collections import namedtuple
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from operator import mul
 
@@ -162,6 +163,10 @@ def _finish(k, max_steps, cost, final_size, successes, recycles, failures) -> Ru
 # (w_2, w_2): success below the first, recyclable below the second.
 _S0_SUCCESS, _S0_RECYCLE = threshold53(1, 1)
 _S1_SUCCESS, _S1_RECYCLE = threshold53(2, 2)
+# The same edges for the fusions in S_2 and up, kept per operand pair: a
+# run reaches few pairs, most of them again and again, and k <= 8 reaches
+# at most 21,844, the ordered same-bucket pairs of S_2 to S_8.
+_edges53 = cache(threshold53)
 
 
 def run_similar_sizes(
@@ -190,8 +195,9 @@ def run_similar_sizes(
     error.  Each fusion attempt takes the next draw, so ``fusion_attempts``
     of the result is the number of draws the run used.
 
-    The loop below inlines the step helpers and the exact threshold
-    classification for speed.  The two lowest buckets hold a single size
+    The loop below inlines the step helpers for speed and compares each
+    draw with the branch edges of :func:`wfuse.fusion_model.threshold53`,
+    cached per operand pair.  The two lowest buckets hold a single size
     each, ``S_0`` only ``w_1`` and ``S_1`` only ``w_2``, so the order of
     their states does not matter and they are kept as counts ``c0`` and
     ``c1``; only ``S_2`` and up are FIFO lists.  The fusions in ``S_0`` and
@@ -258,15 +264,15 @@ def run_similar_sizes(
                     continue
                 n = bucket.pop(0)
                 m = bucket.pop(0)
-                lhs = next(draws) * ((n + 2) * (m + 2))
-                success_num = (n + m + 2) << 53
-                if lhs < success_num:
+                success, recycle = _edges53(n, m)
+                u = next(draws)
+                if u < success:
                     successes += 1
                     if xi == k:
                         return _finish(k, max_steps, cost, n + m, successes, recycles, failures)
                     sets[xi + 1].append(n + m)
                     xi += 1
-                elif lhs < success_num + (((n + 1) * (m + 1)) << 53):
+                elif u < recycle:
                     recycles += 1
                     # n, m >= 3 here, so a part w_{n-1} is w_2, counted in
                     # S_1, or lands in S_2 and up.
@@ -291,8 +297,12 @@ def trace_similar_sizes(k: int, draws, *, max_steps: int = DEFAULT_STEP_BUDGET):
     This is the attempt-at-a-time mirror of :func:`run_similar_sizes`: it
     drives the step helpers and classifies each draw ``d`` of ``draws`` as
     the uniform ``d * 2**-53`` with
-    :func:`wfuse.fusion_model.classify_uniform`, so it shares no code with
-    the kernel's inlined thresholds.  ``draws`` is as for the kernel:
+    :func:`wfuse.fusion_model.classify_uniform`, by exact rational
+    comparison rather than the kernel's 53-bit edges.  Both rest on the
+    one outcome law of :mod:`wfuse.fusion_model`, so holding the kernel to
+    this trace checks the edges and the bucket bookkeeping, not the law;
+    the law is pinned by literal values in the fusion-model tests and by
+    the gate's amplitude simulation.  ``draws`` is as for the kernel:
     endless, or at least ``max_steps + 1`` draws long.  Given the same
     draws it makes the same attempts and raises the same ``RuntimeError``
     at the same step budget, checked before every attempt.
@@ -316,14 +326,6 @@ def trace_similar_sizes(k: int, draws, *, max_steps: int = DEFAULT_STEP_BUDGET):
         yield FusionStep(level, n, m, branch, cost, tuple(map(tuple, sets)), final)
         if final is not None:
             return
-
-
-def _run_reference(k: int, draws, *, max_steps: int = DEFAULT_STEP_BUDGET) -> RunResult:
-    """The :class:`RunResult` of :func:`trace_similar_sizes`, folded."""
-    counts = dict.fromkeys(BRANCHES, 0)
-    for step in trace_similar_sizes(k, draws, max_steps=max_steps):
-        counts[step.branch] += 1
-    return RunResult(step.cost, step.final, sum(counts.values()), *counts.values())
 
 
 class BatchStats(

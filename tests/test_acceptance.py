@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from wfuse.gate import TOLERANCE, fidelity, fuse, make_w_state
+from wfuse.gate import fidelity, fuse, make_w_state
 from wfuse.growth_costs import (
     LinearGrowthParams,
     exponential_cost,
@@ -28,6 +28,8 @@ from wfuse.optimal import optimal_costs
 from wfuse.simulate import exact_expected_cost, simulate_batch
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+# Criterion 06 compares the gate's exact values with float closed forms.
+TOLERANCE = 1e-12
 
 _capture = None
 

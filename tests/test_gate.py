@@ -193,6 +193,12 @@ class TestVerifyProbabilities:
         for n in range(2, 13):
             for m in range(2, 13):
                 check = verify_probabilities(n, m)
+                # The law in photon counts, stated apart from fusion_model.
+                assert check.analytic == {
+                    "success": Fraction(n + m - 2, n * m),
+                    "recycle": Fraction((n - 1) * (m - 1), n * m),
+                    "failure": Fraction(1, n * m),
+                }
                 assert check.simulated == check.analytic
                 assert all(value == 1 for value in check.fidelities.values())
 

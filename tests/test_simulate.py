@@ -36,7 +36,6 @@ from wfuse.simulate import (
     _RANGE_CHUNK,
     FusionStep,
     RunResult,
-    _run_reference,
     _sample_std,
     bucket_index,
     exact_expected_cost,
@@ -132,6 +131,14 @@ def assert_edges_classify(n, m, success, recycle):
         assert classify_uniform(n, m, draw * 2.0**-53) == branch, (n, m, draw)
 
 
+def run_reference(k, draws, *, max_steps=DEFAULT_STEP_BUDGET):
+    """The :class:`RunResult` of :func:`trace_similar_sizes`, folded."""
+    counts = dict.fromkeys(BRANCHES, 0)
+    for step in trace_similar_sizes(k, draws, max_steps=max_steps):
+        counts[step.branch] += 1
+    return RunResult(step.cost, step.final, sum(counts.values()), *counts.values())
+
+
 # Master seeds for the range streams: negatives and values of 2**64 or more
 # must match stream_for_run's masking.
 RANGE_MASTERS = st.one_of(
@@ -173,11 +180,11 @@ class TestRangeStreams:
         small = draws_for_range(master, start, start + runs)
         for i, (draws, again) in enumerate(zip(complete, small)):
             stream = stream_for_run(master, start + i)
-            reference = _run_reference(k, stream)
+            reference = run_reference(k, stream)
             tight = reference.cost + reference.fusion_attempts - 1
             assert run_similar_sizes(k, draws, max_steps=tight) == reference
             assert run_or_error(run_similar_sizes, k, again, max_steps) == run_or_error(
-                _run_reference, k, stream, max_steps
+                run_reference, k, stream, max_steps
             )
 
 
@@ -226,7 +233,7 @@ class TestSimilarSizesRuns:
         for k in range(0, 7):
             for i in range({1: 300, 5: 3, 6: 2}.get(k, 25)):
                 stream = stream_for_run(905, i + 100 * k)
-                reference = _run_reference(k, stream)
+                reference = run_reference(k, stream)
                 tight = reference.cost + reference.fusion_attempts - 1
                 assert run_similar_sizes(k, stream, max_steps=tight) == reference
                 assert run_or_error(run_similar_sizes, k, stream, tight - 1) == (
@@ -238,13 +245,13 @@ class TestSimilarSizesRuns:
         for max_steps in range(301):
             outcomes = [
                 run_or_error(run, k, stream_for_run(6007, k), max_steps)
-                for run in (run_similar_sizes, _run_reference)
+                for run in (run_similar_sizes, run_reference)
             ]
             assert outcomes[0] == outcomes[1], max_steps
 
     def test_threshold_draws_match_reference(self):
         # Every draw sits at a branch threshold of a fusion in S_0 to S_3,
-        # where the kernel's inlined comparisons and classify_uniform must
+        # where the kernel's threshold53 edges and classify_uniform must
         # agree exactly; (2, 2) and (6, 6) have thresholds that are exact
         # multiples of their denominator.
         pairs = ((1, 1), (2, 2), (3, 3), (3, 4), (4, 4), (6, 6))
@@ -255,7 +262,7 @@ class TestSimilarSizesRuns:
                 script = rng.choices(words, k=301)
                 outcomes = [
                     run_or_error(run, k, script, 300)
-                    for run in (run_similar_sizes, _run_reference)
+                    for run in (run_similar_sizes, run_reference)
                 ]
                 assert outcomes[0] == outcomes[1], script
 
@@ -350,6 +357,10 @@ class TestTraceProperties:
         for i in range(5):
             assert_invariants_and_kernel(5, stream_for_run(512, i))
         assert_invariants_and_kernel(6, stream_for_run(512, 5))
+        # The largest k the CLI takes: 15,349 and 44,969 attempts, the
+        # first kernel checks with operands above 64.
+        for k in (7, 8):
+            assert_invariants_and_kernel(k, stream_for_run(512, 0))
 
 
 class TestBatches:
