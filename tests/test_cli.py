@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 
 import wfuse.cli
 import wfuse.simulate
-from wfuse.cli import _csv_lines, main
+from wfuse.cli import _csv_lines, _json_lines, main
 from wfuse.growth_costs import linear_recycled_costs, w3_linear_cost
 from wfuse.rng import stream_for_run
 from wfuse.simulate import run_similar_sizes, simulate_batch
@@ -463,6 +465,69 @@ class TestFigure4Command:
         assert rows[0]["N"] == 3
         assert rows[0]["mc_mean"] is None
         assert rows[1]["mc_k"] == 0
+
+
+# SHA-256 of each command's stdout, taken while the tables were still built
+# whole before they were written: writing them row by row keeps every byte.
+STDOUT_SHA256 = {
+    "cost --strategy linear --target 300":
+        "9f80c1a33cd82bfbbabc6416e5d63a3238408b8ffe6df6e96ce8a818dfadcbb4",
+    "cost --strategy linear --target 300 --format json":
+        "64b73fefaf261000fe10e1931e7a33912fbd8f1ff49689e07379ff2a50d68392",
+    "cost --strategy linear-recycled --target 300":
+        "950efd17d89797fc61078912264df4aa85bb56514741a2410236b577761d0a36",
+    "cost --strategy linear-recycled --target 300 --format json":
+        "75e47f211308e068d77cd866399bfa69fd21b7ab5fe48ac56c00045d641f8bf1",
+    "cost --strategy optimal --target 300":
+        "c55fa931d7918c6832b498bc55764c2dc523de5bf64527c5f7d0d3d42f4da1c7",
+    "cost --strategy optimal --target 300 --format json":
+        "606673ccf1648ad4a17691011b81db4cbf66bb2e4528c0e3a9e2563b8fbc9878",
+    "cost --strategy exponential --target 258":
+        "5cf41e626d4510386f0a7ee750be99ec5e0fdb9beb4fb1bdfdc12a1b8fff46c9",
+    "cost --strategy exponential --target 258 --format json":
+        "e59b76c493af8d14e2587bcaefe731f6c097bbac3d1ad1c1a7b9cb9c003851f6",
+    "figure4 --max-k 3 --runs 20 --seed 4 --format json":
+        "ce2c46c9703b62aa26669cea1483ce605c773004a51cca46ec6d35dec42af612",
+}
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("command", sorted(STDOUT_SHA256))
+    def test_stdout_bytes_are_pinned(self, capsys, command):
+        code, out = run_cli(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [{"N": 3}],
+            [
+                {"a": None, "b": 1.5, "c": "x\ny \"z\"", "d": float("inf")},
+                {"a": 7, "b": -0.0, "c": "", "d": float("nan")},
+            ],
+        ],
+        ids=["no-rows", "one-row", "special-cells"],
+    )
+    def test_json_lines_match_json_dumps(self, rows):
+        text = "".join(_json_lines(iter(rows)))
+        assert text == json.dumps(rows, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cost_table_memory_stays_flat(self, tmp_path, fmt):
+        # Built whole before it was written, this table of 3000 costs took a
+        # peak of 1.07 MiB (CSV) and 8.9 MiB (JSON) of Python allocations.
+        path = str(tmp_path / f"table.{fmt}")
+        argv = ["cost", "--strategy", "linear-recycled", "--format", fmt, "--out", path]
+        assert main([*argv, "--target", "4"]) == 0  # imports outside the trace
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--target", "3002"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20, peak
 
 
 class TestSubprocessDeterminism:

@@ -9,6 +9,7 @@ from wfuse.growth_costs import (
     compose_cost,
     exponential_cost,
     gamma,
+    iter_linear_recycled_costs,
     linear_growth_cost,
     linear_recycled_costs,
     w3_linear_cost,
@@ -150,6 +151,11 @@ class TestLinearRecycledCosts:
         for max_m in (2, 3, 17):
             assert linear_recycled_costs(max_m) == reference[: max_m + 1]
 
+    def test_generator_yields_the_list(self):
+        costs = iter_linear_recycled_costs(400)
+        assert next(costs) == 1
+        assert [Fraction(0), Fraction(1), *costs] == recycled_costs_by_fractions(400)
+
     def test_difference_ratio_approaches_two(self):
         # |ratio - 2| tracks 2/(m+3): 1.56% of the limit at m = 60, first
         # within 1% at m = 96
@@ -174,6 +180,8 @@ class TestLinearRecycledCosts:
     def test_rejects_short_range(self):
         with pytest.raises(ValueError):
             linear_recycled_costs(1)
+        with pytest.raises(ValueError):
+            next(iter_linear_recycled_costs(1))
 
 
 class TestExponentialGrowth:

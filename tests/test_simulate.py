@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+import weakref
 from fractions import Fraction
 from itertools import islice, product, repeat
 
@@ -36,6 +37,7 @@ from wfuse.simulate import (
     _RANGE_CHUNK,
     FusionStep,
     RunResult,
+    _run_range,
     _sample_std,
     bucket_index,
     exact_expected_cost,
@@ -387,6 +389,25 @@ class TestBatches:
         for workers in (2, 3):
             assert simulate_batch(2, 97, 55, workers=workers) == sequential
         assert len(sequential.costs) == len(sequential.final_sizes) == 97
+
+    def test_pool_parts_are_joined_as_they_arrive(self):
+        # The stand-in makes each range's part only when the next one is
+        # asked for.  By then every part but the last must be freed: it has
+        # been joined into the result and is not kept.
+        parts = []
+
+        class LazyPool:
+            def map(self, fn, ranges):
+                for item in ranges:
+                    alive = [i for i, refs in enumerate(parts) if any(r() for r in refs)]
+                    assert set(alive) <= {len(parts) - 1}, alive
+                    part = fn(item)
+                    parts.append(tuple(map(weakref.ref, part)))
+                    yield part
+
+        stats = simulate_batch(2, 97, 55, workers=2, pool=LazyPool())
+        assert len(parts) == 14  # ranges of at most 7 runs
+        assert stats == simulate_batch(2, 97, 55, workers=1)
 
     def test_runs_are_indexed_by_derived_stream(self):
         # A replay through stream_for_run; at 1 worker, one range of 257 or
