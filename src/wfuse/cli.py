@@ -41,11 +41,11 @@ _FLOAT_FMT = ".17g"
 # expected cost of a run grows about 3.6x per stage.
 _MAX_K = 8
 # Largest actual size N that `cost --target` accepts.  At the bound the
-# optimal table takes about 4 s and the linear table writes 24 MB (25 MB as
-# JSON); the linear table's size grows quadratically in N.  Tables are
-# written row by row, so memory does not grow with the text: at the bound
-# every table peaks at about 15 MB of resident memory in CSV and JSON, the
-# optimal one at 18 MB, whose DP table is held whole.
+# optimal table takes 7 to 10 s (shared 2-core host) and the linear table
+# writes 24 MB (25 MB as JSON); the linear table's size grows quadratically
+# in N.  Tables are written row by row, so memory does not grow with the
+# text: at the bound every table peaks at about 15 MB of resident memory in
+# CSV and JSON, the optimal one at 18 MB, whose DP table is held whole.
 _MAX_TARGET = 10_000
 # Rows of a `simulate --dump-runs` file rendered by one format operation.
 # A chunk's 12,288 cells, their tuple, the format string and the text peak

@@ -37,7 +37,6 @@ from wfuse.simulate import (
     _RANGE_CHUNK,
     FusionStep,
     RunResult,
-    _run_range,
     _sample_std,
     bucket_index,
     exact_expected_cost,
