@@ -48,8 +48,10 @@ _MAX_K = 8
 # CSV and JSON, the optimal one at 18 MB, whose DP table is held whole.
 _MAX_TARGET = 10_000
 # Rows of a `simulate --dump-runs` file rendered by one format operation.
-# A chunk's 12,288 cells, their tuple, the format string and the text peak
-# at about 0.4 MiB of allocations (tracemalloc, 100k runs).
+# The dump is written one batch part at a time, and each part in chunks of
+# this many rows: a chunk's 12,288 cells, their tuple, the format string
+# and the text peak at about 0.4 MiB of allocations (tracemalloc, 100k
+# runs).
 _DUMP_CHUNK = 4096
 _WORKERS_HELP = (
     "worker processes, at most the number of CPUs (default 1); "
@@ -201,20 +203,34 @@ def _cmd_cost(args) -> int:
     return 0
 
 
-def _write_dump(handle, costs, final_sizes) -> None:
-    """Write the `--dump-runs` CSV: run index, cost and final actual size.
+def _write_dump(handle, start, costs, final_sizes) -> None:
+    """Write the `--dump-runs` rows of runs ``start``, ``start + 1``, ...:
+    run index, cost and final actual size.
 
     Every cell is an int, so the rows that _csv_lines would render are
     formatted directly, with one ``%`` operation per chunk of rows.
     """
-    handle.write("run,cost,final_N\n")
     for lo in range(0, len(costs), _DUMP_CHUNK):
         hi = min(lo + _DUMP_CHUNK, len(costs))
         cells = [0] * (3 * (hi - lo))
-        cells[0::3] = range(lo, hi)
+        cells[0::3] = range(start + lo, start + hi)
         cells[1::3] = costs[lo:hi]
         cells[2::3] = [size + 2 for size in final_sizes[lo:hi]]
         handle.write(("%d,%d,%d\n" * (hi - lo)) % tuple(cells))
+
+
+def _dump_writer(handle):
+    """Write the `--dump-runs` header to ``handle``; return the
+    ``simulate_batch`` part callback that writes each part's rows."""
+    handle.write("run,cost,final_N\n")
+    start = 0
+
+    def write_part(costs, final_sizes):
+        nonlocal start
+        _write_dump(handle, start, costs, final_sizes)
+        start += len(costs)
+
+    return write_part
 
 
 def _cmd_simulate(args) -> int:
@@ -229,34 +245,40 @@ def _cmd_simulate(args) -> int:
     ):
         # Both are open at once below, and would overwrite each other.
         return _usage_error("--out and --dump-runs must be different files")
+    # Both paths are opened before the batch, --out first, so an unwritable
+    # --out leaves no dump behind (an unwritable dump path leaves --out
+    # empty).  The dump is written part by part as the batch makes it, and
+    # the summary row last.
     try:
-        stats = simulate_batch(
-            args.k, args.runs, args.seed, workers=_worker_processes(args.workers)
-        )
+        with _output(args.out) as out, (
+            _open_output(args.dump_runs) if args.dump_runs else nullcontext()
+        ) as dump:
+            stats = simulate_batch(
+                args.k,
+                args.runs,
+                args.seed,
+                workers=_worker_processes(args.workers),
+                on_part=_dump_writer(dump) if dump is not None else None,
+            )
+            row = {
+                "k": stats.k,
+                "nominal_N": 2**stats.k + 3,
+                "runs": stats.runs,
+                "seed": stats.master_seed,
+                "mean": stats.mean,
+                "std": stats.std,
+                "stderr": stats.stderr,
+                "min": stats.min,
+                "max": stats.max,
+            }
+            _write_rows([row], args.format, out)
     except RuntimeError as exc:
+        # A failed batch leaves no output, though the dump may hold rows.
+        # Only regular files are removed, never a device such as /dev/null.
+        for path in (args.out, args.dump_runs):
+            if path and os.path.isfile(path):
+                os.remove(path)
         return _run_error(exc)
-    rows = [
-        {
-            "k": stats.k,
-            "nominal_N": 2**stats.k + 3,
-            "runs": stats.runs,
-            "seed": stats.master_seed,
-            "mean": stats.mean,
-            "std": stats.std,
-            "stderr": stats.stderr,
-            "min": stats.min,
-            "max": stats.max,
-        }
-    ]
-    # Both paths are opened before either is written, --out first, so an
-    # unwritable --out leaves no dump behind (an unwritable dump path leaves
-    # --out empty).
-    with _output(args.out) as out, (
-        _open_output(args.dump_runs) if args.dump_runs else nullcontext()
-    ) as dump:
-        if dump is not None:
-            _write_dump(dump, stats.costs, stats.final_sizes)
-        _write_rows(rows, args.format, out)
     return 0
 
 

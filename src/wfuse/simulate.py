@@ -33,11 +33,13 @@ Randomness comes from the splitmix64 streams in :mod:`wfuse.rng`: a run
 reads 53-bit draws, one per fusion attempt, and run ``i`` of a batch reads
 the draws of the stream seeded ``mix64(master_seed + i)``, which makes
 batch results independent of execution order and parallelism.  A batch
-runs in contiguous ranges of run indices, each returning its costs and
-final sizes as integer arrays that are joined in run order as they arrive,
-and its mean and standard deviation come from exact integer sums.  Within
-a range the runs' draws are seeded, and their first block computed, for
-256 runs at a time.
+runs in contiguous ranges of at most :data:`_RANGE_CAP` run indices, each
+returning its costs and final sizes as integer arrays.  The batch folds
+each range into exact integer sums, its minimum and its maximum as the
+range arrives, hands it to an optional callback in run order and drops
+it, so its memory does not grow with the number of runs.  Its mean and
+standard deviation come from the exact sums.  Within a range the runs'
+draws are seeded, and their first block computed, for 256 runs at a time.
 """
 
 from __future__ import annotations
@@ -76,6 +78,10 @@ __all__ = [
 DEFAULT_STEP_BUDGET = 10**9
 # Runs whose draws :func:`_run_range` seeds at once.
 _RANGE_CHUNK = 256
+# Most runs in one range of a batch.  A range's part is two arrays of 8
+# bytes per run, so a batch holds a few of them (256 KiB each) whatever its
+# run count.  Pool ranges are smaller below 8 * workers * _RANGE_CAP runs.
+_RANGE_CAP = 2**14
 
 
 def bucket_index(size: int) -> int:
@@ -332,17 +338,16 @@ def trace_similar_sizes(k: int, draws, *, max_steps: int = DEFAULT_STEP_BUDGET):
 class BatchStats(
     namedtuple(
         "BatchStats",
-        "k runs master_seed mean std stderr min max costs final_sizes",
+        "k runs master_seed mean std stderr min max",
     )
 ):
-    """Aggregate statistics of a batch of runs.
+    """Aggregate statistics of the costs of a batch of runs.
 
-    Runs end at variable final sizes (anything above the bucket threshold),
-    so the realized sizes are kept alongside the costs.  ``costs`` and
-    ``final_sizes`` are ``array('q')`` values indexed by run.  ``mean`` and
-    ``std`` equal ``statistics.fmean`` and ``statistics.stdev`` of the
-    costs (``std`` is 0.0 for a single run); both are computed from exact
-    integer sums.
+    ``mean`` and ``std`` equal ``statistics.fmean`` and
+    ``statistics.stdev`` of the costs (``std`` is 0.0 for a single run);
+    both are computed from exact integer sums.  The per-run costs and final
+    sizes are not kept: :func:`simulate_batch` hands them to its
+    ``on_part`` callback.
     """
 
     __slots__ = ()
@@ -393,7 +398,8 @@ def _sample_std(n: int, total: int, total_sq: int) -> float:
 def worker_pool(workers: int):
     """A process pool of ``workers`` processes, or None when ``workers <= 1``.
 
-    Several :func:`simulate_batch` calls may share one pool.  The pool
+    Several :func:`simulate_batch` calls may share one pool.  When the
+    body raises, the pool's queued work is cancelled.  The pool
     machinery (``concurrent.futures.process`` and ``multiprocessing``) is
     imported only here, so a 1-worker command does not pay for it.
     """
@@ -403,7 +409,30 @@ def worker_pool(workers: int):
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield pool
+        try:
+            yield pool
+        except BaseException:
+            # Start none of the work still queued, such as the next window
+            # of a failed batch: only the running work is waited for.
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _pool_parts(pool, ranges, window):
+    """The parts of ``ranges`` from ``pool.map``, ``window`` ranges at a time.
+
+    ``pool.map`` submits every range it is given at once, and each pending
+    range holds a future of about 2 KB, so one call for all of them would
+    grow with the run count.  The next window is submitted before the
+    current one is read, so the workers never wait between windows, and at
+    most two windows are pending.
+    """
+    parts = pool.map(_run_range, list(islice(ranges, window)))
+    while following := list(islice(ranges, window)):
+        following_parts = pool.map(_run_range, following)
+        yield from parts
+        parts = following_parts
+    yield from parts
 
 
 def simulate_batch(
@@ -413,6 +442,7 @@ def simulate_batch(
     *,
     workers: int = 1,
     pool=None,
+    on_part=None,
 ) -> BatchStats:
     """Run the similar-sizes strategy ``runs`` times with derived seeds.
 
@@ -425,25 +455,46 @@ def simulate_batch(
     i))``.  With ``workers > 1`` the runs go to ``pool`` (from
     :func:`worker_pool`) when one is given, and to a pool started for this
     call otherwise.
+
+    The runs are made in ranges of at most :data:`_RANGE_CAP` runs, handed
+    to a pool ``8 * workers`` ranges at a time, and each range's part is
+    folded into the statistics as it arrives and then dropped, so memory
+    does not grow with ``runs``.  When ``on_part`` is given it is called
+    with every part, in run order, as ``on_part(costs, final_sizes)``: two
+    ``array('q')`` values of the same length holding the range's costs and
+    final sizes, starting at the run after the previous part's last.  The
+    per-run values reach the caller only this way.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    # About eight ranges per worker, so that the workers finish together.
+    window = workers * 8
     if workers <= 1:
-        costs, final_sizes = _run_range((k, master_seed, 0, runs))
+        step = _RANGE_CAP
+        context = nullcontext()
     else:
-        # About eight ranges per worker, joined in run order as the pool
-        # yields them, so no finished range is kept once it is joined.
-        step = -(-runs // (workers * 8))
-        ranges = [(k, master_seed, i, min(i + step, runs)) for i in range(0, runs, step)]
-        costs, final_sizes = array("q"), array("q")
-        with (nullcontext(pool) if pool is not None else worker_pool(workers)) as pool:
-            for part_costs, part_sizes in pool.map(_run_range, ranges):
-                costs += part_costs
-                final_sizes += part_sizes
+        step = min(-(-runs // window), _RANGE_CAP)
+        context = nullcontext(pool) if pool is not None else worker_pool(workers)
+    ranges = ((k, master_seed, i, min(i + step, runs)) for i in range(0, runs, step))
+    total = total_sq = 0
+    low, high = math.inf, -math.inf
+    with context as pool:
+        if pool is None:
+            parts = map(_run_range, ranges)
+        else:
+            parts = _pool_parts(pool, ranges, window)
+        for costs, final_sizes in parts:
+            total += sum(costs)
+            total_sq += sum(map(mul, costs, costs))
+            low = min(low, min(costs))
+            high = max(high, max(costs))
+            if on_part is not None:
+                on_part(costs, final_sizes)
+            # Free the part before the next one is made.
+            del costs, final_sizes
     # Each cost is an int of at most max_steps < 2**53, so float(total) is
     # what fsum(costs) returns and the mean equals statistics.fmean.
-    total = sum(costs)
-    std = _sample_std(runs, total, sum(map(mul, costs, costs)))
+    std = _sample_std(runs, total, total_sq)
     return BatchStats(
         k=k,
         runs=runs,
@@ -451,10 +502,8 @@ def simulate_batch(
         mean=float(total) / runs,
         std=std,
         stderr=std / math.sqrt(runs),
-        min=min(costs),
-        max=max(costs),
-        costs=costs,
-        final_sizes=final_sizes,
+        min=low,
+        max=high,
     )
 
 

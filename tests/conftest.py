@@ -2,6 +2,7 @@ import faulthandler
 import functools
 import os
 import sys
+from itertools import repeat
 
 import pytest
 
@@ -48,3 +49,18 @@ def batch_step_budget(monkeypatch):
         wfuse.simulate.run_similar_sizes, max_steps=BATCH_STEP_BUDGET
     )
     monkeypatch.setattr(wfuse.simulate, "run_similar_sizes", kernel)
+
+
+@pytest.fixture
+def constant_runs(monkeypatch):
+    """Batch runs that read no draws and all cost 4, ending at size 2.
+
+    A batch then spends its time and memory only on its own plumbing: the
+    ranges, the fold and the part callback, whose memory is what could
+    grow with the number of runs.
+    """
+    result = wfuse.simulate.RunResult(4, 2, 2, 1, 1, 0)
+    monkeypatch.setattr(wfuse.simulate, "run_similar_sizes", lambda k, draws, **kw: result)
+    monkeypatch.setattr(
+        wfuse.simulate, "draws_for_range", lambda master, start, stop: repeat(None, stop - start)
+    )

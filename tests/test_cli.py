@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -212,10 +213,12 @@ class TestSimulateCommand:
         assert len(dumped) == 25
         assert [r["run"] for r in dumped] == [str(i) for i in range(25)]
         assert all(int(r["final_N"]) >= 4 for r in dumped)  # 2^0 + 3
-        stats = simulate_batch(0, 25, 3)
+        parts = []
+        simulate_batch(0, 25, 3, on_part=lambda *part: parts.append(part))
+        ((costs, sizes),) = parts
         rows = (
             {"run": i, "cost": cost, "final_N": size + 2}
-            for i, (cost, size) in enumerate(zip(stats.costs, stats.final_sizes))
+            for i, (cost, size) in enumerate(zip(costs, sizes))
         )
         assert path.read_bytes() == "".join(_csv_lines(rows)).encode()
 
@@ -312,6 +315,60 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert captured.err == "wfuse: error: step budget 10 exceeded at k=0\n"
         assert not path.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_batch_removes_written_output(self, capsys, monkeypatch, tmp_path, workers):
+        # Every process's kernel fails on its first call after one full
+        # range, so the dump already holds rows when the batch fails.
+        kernel = wfuse.simulate.run_similar_sizes
+        calls = itertools.count()
+
+        def fail_after_a_range(k, draws, **kwargs):
+            if next(calls) == wfuse.simulate._RANGE_CAP:
+                raise RuntimeError(f"step budget 10 exceeded at k={k}")
+            return kernel(k, draws, **kwargs)
+
+        write_dump = wfuse.cli._write_dump
+        written = []
+
+        def record_dump(handle, start, costs, final_sizes):
+            written.append(start)
+            write_dump(handle, start, costs, final_sizes)
+
+        monkeypatch.setattr(wfuse.simulate, "run_similar_sizes", fail_after_a_range)
+        monkeypatch.setattr(wfuse.cli, "_write_dump", record_dump)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        dump, out = tmp_path / "runs.csv", tmp_path / "row.csv"
+        runs = str(4 * wfuse.simulate._RANGE_CAP)
+        argv = [
+            "simulate", "--k", "0", "--runs", runs, "--seed", "1", "--workers", workers,
+            "--dump-runs", str(dump), "--out", str(out),
+        ]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "wfuse: error: step budget 10 exceeded at k=0\n"
+        assert written[0] == 0
+        assert not dump.exists() and not out.exists()
+
+    def test_dump_memory_stays_flat(self, tmp_path, constant_runs):
+        # At the parent of the fold, which kept every run's cost and final
+        # size until the batch ended, this read a peak of 2.66 MB.
+        path = tmp_path / "runs.csv"
+        argv = [
+            "simulate", "--k", "0", "--seed", "1",
+            "--dump-runs", str(path), "--out", str(tmp_path / "row.csv"),
+        ]
+        assert main([*argv, "--runs", "3"]) == 0  # lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--runs", str(2**17)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        with path.open() as dumped:
+            assert sum(1 for _ in dumped) == 2**17 + 1
 
     def test_repeat_is_byte_identical(self, capsys):
         _, first = run_cli(capsys, "simulate", "--k", "1", "--runs", "200", "--seed", "9")

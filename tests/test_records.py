@@ -1,4 +1,3 @@
-from array import array
 from fractions import Fraction
 
 import pytest
@@ -12,9 +11,7 @@ from wfuse.simulate import BatchStats, FusionStep, RunResult
 RECORDS = {
     "RunResult": lambda: RunResult(1, 2, 3, 1, 1, 1),
     "FusionStep": lambda: FusionStep(0, 1, 1, "success", 2, ((), ()), 2),
-    "BatchStats": lambda: BatchStats(
-        0, 1, 5, 2.0, 0.0, 0.0, 2, 2, array("q", [2]), array("q", [2])
-    ),
+    "BatchStats": lambda: BatchStats(0, 1, 5, 2.0, 0.0, 0.0, 2, 2),
     "OutcomeDistribution": lambda: outcome_distribution(1, 1),
     "LinearGrowthParams": lambda: LinearGrowthParams(1, 1, 0),
     "CostEntry": lambda: CostEntry(Fraction(1), None),

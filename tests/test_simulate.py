@@ -1,6 +1,8 @@
 import math
 import random
 import statistics
+import time
+import tracemalloc
 import weakref
 from fractions import Fraction
 from itertools import islice, product, repeat
@@ -8,6 +10,7 @@ from itertools import islice, product, repeat
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wfuse.simulate
 from wfuse.fusion_model import (
     BRANCHES,
     FAILURE,
@@ -34,6 +37,7 @@ from wfuse.simulate import (
     _S0_SUCCESS,
     _S1_RECYCLE,
     _S1_SUCCESS,
+    _RANGE_CAP,
     _RANGE_CHUNK,
     FusionStep,
     RunResult,
@@ -43,6 +47,7 @@ from wfuse.simulate import (
     run_similar_sizes,
     simulate_batch,
     trace_similar_sizes,
+    worker_pool,
 )
 
 
@@ -364,6 +369,35 @@ class TestTraceProperties:
             assert_invariants_and_kernel(k, stream_for_run(512, 0))
 
 
+def run_batch(k, runs, master_seed, **kwargs):
+    """``simulate_batch`` with its parts collected: (stats, costs, final
+    sizes, part lengths), the per-run values as lists indexed by run."""
+    costs, sizes, lengths = [], [], []
+
+    def collect(part_costs, part_sizes):
+        assert len(part_costs) == len(part_sizes)
+        costs.extend(part_costs)
+        sizes.extend(part_sizes)
+        lengths.append(len(part_costs))
+
+    stats = simulate_batch(k, runs, master_seed, on_part=collect, **kwargs)
+    return stats, costs, sizes, lengths
+
+
+def discard(costs, final_sizes):
+    pass
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes of Python allocations traced while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBatches:
     def test_mean_near_nine_halves_at_k0(self):
         stats = simulate_batch(0, 1000, 42)
@@ -371,42 +405,41 @@ class TestBatches:
         assert 4.18 <= stats.mean <= 4.82
 
     def test_batch_is_deterministic(self):
-        a = simulate_batch(2, 60, 123)
-        b = simulate_batch(2, 60, 123)
-        assert a.costs == b.costs
-        assert (a.mean, a.std, a.stderr, a.min, a.max) == (
-            b.mean,
-            b.std,
-            b.stderr,
-            b.min,
-            b.max,
-        )
+        # Statistics, every run's cost and final size, and the parts.
+        assert run_batch(2, 60, 123) == run_batch(2, 60, 123)
 
     def test_workers_do_not_change_results(self):
         # 97 runs split into ranges of 7 (2 workers) and 5 (3 workers).
-        sequential = simulate_batch(2, 97, 55, workers=1)
-        for workers in (2, 3):
-            assert simulate_batch(2, 97, 55, workers=workers) == sequential
-        assert len(sequential.costs) == len(sequential.final_sizes) == 97
+        stats, costs, sizes, lengths = run_batch(2, 97, 55, workers=1)
+        assert len(costs) == len(sizes) == 97
+        assert lengths == [97]
+        for workers, step in ((2, 7), (3, 5)):
+            pooled = run_batch(2, 97, 55, workers=workers)
+            assert pooled[:3] == (stats, costs, sizes)
+            assert pooled[3] == [step] * (97 // step) + [97 % step]
+        assert simulate_batch(2, 97, 55) == stats
 
-    def test_pool_parts_are_joined_as_they_arrive(self):
+    def test_pool_parts_are_freed_before_the_next(self):
         # The stand-in makes each range's part only when the next one is
-        # asked for.  By then every part but the last must be freed: it has
-        # been joined into the result and is not kept.
+        # asked for, and keeps no reference to it.  By then every earlier
+        # part must be freed: the batch folds a part and drops it.
         parts = []
 
         class LazyPool:
             def map(self, fn, ranges):
                 for item in ranges:
                     alive = [i for i, refs in enumerate(parts) if any(r() for r in refs)]
-                    assert set(alive) <= {len(parts) - 1}, alive
+                    assert alive == [], alive
                     part = fn(item)
                     parts.append(tuple(map(weakref.ref, part)))
                     yield part
+                    del part
 
-        stats = simulate_batch(2, 97, 55, workers=2, pool=LazyPool())
-        assert len(parts) == 14  # ranges of at most 7 runs
-        assert stats == simulate_batch(2, 97, 55, workers=1)
+        for on_part in (None, discard):
+            parts.clear()
+            stats = simulate_batch(2, 97, 55, workers=2, pool=LazyPool(), on_part=on_part)
+            assert len(parts) == 14  # ranges of at most 7 runs
+            assert stats == simulate_batch(2, 97, 55, workers=1)
 
     def test_runs_are_indexed_by_derived_stream(self):
         # A replay through stream_for_run; at 1 worker, one range of 257 or
@@ -420,17 +453,71 @@ class TestBatches:
                 costs = [result.cost for result in replay]
                 sizes = [result.final_size for result in replay]
                 for workers in (1, 2, 3):
-                    stats = simulate_batch(k, runs, -11, workers=workers)
-                    assert list(stats.costs) == costs, (runs, k, workers)
-                    assert list(stats.final_sizes) == sizes, (runs, k, workers)
+                    _, batch_costs, batch_sizes, _ = run_batch(k, runs, -11, workers=workers)
+                    assert batch_costs == costs, (runs, k, workers)
+                    assert batch_sizes == sizes, (runs, k, workers)
+
+    def test_ranges_are_capped(self, monkeypatch):
+        # Runs past the cap, at the real cap and at a cap of 5, whose pool
+        # ranges (ceil(23 / 16) = 2 runs at 2 workers) stay below it.
+        replay = [run_similar_sizes(0, stream_for_run(19, i)) for i in range(_RANGE_CAP + 3)]
+        stats, costs, sizes, lengths = run_batch(0, _RANGE_CAP + 3, 19)
+        assert lengths == [_RANGE_CAP, 3]
+        assert costs == [result.cost for result in replay]
+        assert sizes == [result.final_size for result in replay]
+        assert (stats.min, stats.max) == (min(costs), max(costs))
+        monkeypatch.setattr(wfuse.simulate, "_RANGE_CAP", 5)
+        for runs, workers, expected in (
+            (23, 1, [5, 5, 5, 5, 3]),
+            (23, 2, [2] * 11 + [1]),
+            (200, 2, [5] * 40),
+        ):
+            batch = run_batch(0, runs, 19, workers=workers)
+            assert batch[3] == expected, (runs, workers)
+            assert batch[1] == costs[:runs] and batch[2] == sizes[:runs]
+            assert batch[0] == simulate_batch(0, runs, 19, workers=3)
+        # The pool is handed 8 * workers ranges at a time.
+        windows = []
+
+        class RecordingPool:
+            def map(self, fn, ranges):
+                windows.append(len(ranges))
+                return map(fn, ranges)
+
+        batch = run_batch(0, 200, 19, workers=2, pool=RecordingPool())
+        assert windows == [16, 16, 8]
+        assert batch[1] == costs[:200] and batch[3] == [5] * 40
+
+    def test_worker_pool_cancels_queued_work_on_error(self):
+        # A pool holds at most workers + 1 calls past cancelling, so the
+        # other 17 must be cancelled, not run while the error waits.
+        with pytest.raises(KeyError):
+            with worker_pool(2) as pool:
+                futures = [pool.submit(time.sleep, 0.05) for _ in range(20)]
+                raise KeyError
+        assert sum(future.cancelled() for future in futures) >= 17
+
+    def test_memory_does_not_grow_with_runs(self, constant_runs):
+        # At the parent of the fold, which joined every part, this read
+        # 1.07 MB at 4 * _RANGE_CAP runs and 2.21 MB at 8 * _RANGE_CAP
+        # (1.01 MiB at 2**15 runs and 2.44 MiB at 2**17 with real runs).
+        simulate_batch(0, 2, 5, on_part=discard)  # lazy set-up outside the trace
+        peaks = [
+            traced_peak(simulate_batch, 0, scale * _RANGE_CAP, 5, on_part=discard)
+            for scale in (4, 8)
+        ]
+        assert peaks[1] < peaks[0] + 2**14, peaks
 
     def test_stats_fields(self):
-        stats = simulate_batch(0, 500, 8)
+        stats, costs, sizes, _ = run_batch(0, 500, 8)
         assert stats.min <= stats.mean <= stats.max
+        assert (stats.min, stats.max) == (min(costs), max(costs))
+        assert stats.mean == statistics.fmean(costs)
+        assert stats.std == statistics.stdev(costs)
         assert stats.stderr == pytest.approx(stats.std / math.sqrt(500))
-        assert len(stats.costs) == 500
-        assert len(stats.final_sizes) == 500
-        assert all(size > 1 for size in stats.final_sizes)
+        assert len(costs) == 500
+        assert len(sizes) == 500
+        assert all(size > 1 for size in sizes)
 
     def test_rejects_no_runs(self):
         with pytest.raises(ValueError):
@@ -446,9 +533,9 @@ class TestBatches:
             assert std == statistics.stdev(costs), costs
             assert float(sum(costs)) / n == statistics.fmean(costs)
         assert _sample_std(1, 7, 49) == 0.0
-        single = simulate_batch(3, 1, 10)
+        single, costs, _, _ = run_batch(3, 1, 10)
         assert (single.std, single.stderr) == (0.0, 0.0)
-        assert single.mean == single.min == single.max == single.costs[0]
+        assert single.mean == single.min == single.max == costs[0]
 
 
 class TestExactChainOracle:
