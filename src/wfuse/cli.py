@@ -11,8 +11,9 @@ The CLI speaks in actual photon counts (``N >= 3``); conversion to the
 library's additive index ``n = N - 2`` happens only here.  Every output is
 a pure function of the flag set, seeds included: rerunning a command
 reproduces it byte for byte.  Exit codes: 0 success, 1 verification
-failure or a Monte Carlo run over its step budget, 2 usage error, an
-output path that cannot be opened for writing included.
+failure, a Monte Carlo run over its step budget or a worker process that
+ended early, 2 usage error, an output path that cannot be opened for
+writing included.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .growth_costs import (
 )
 from .optimal import optimal_costs
 from .gate import verify_probabilities
-from .simulate import simulate_batch, worker_pool
+from .simulate import simulate_batch
 
 _FLOAT_FMT = ".17g"
 # Largest stage k that `simulate --k` and `figure4 --max-k` accept: the
@@ -135,11 +136,18 @@ def _run_error(exc: RuntimeError) -> int:
 
 
 def _worker_processes(requested: int) -> int:
-    """``--workers`` capped at ``os.cpu_count()`` (1 when that is unknown).
+    """``--workers`` capped at the number of CPUs this process may run on:
+    ``os.sched_getaffinity(0)`` where it exists, else ``os.cpu_count()``
+    (1 when that is unknown).  ``os.cpu_count()`` counts the host's CPUs,
+    also those an affinity mask such as ``taskset`` excludes.
 
     No output depends on the number of workers, so the cap changes no byte.
     """
-    return min(requested, os.cpu_count() or 1)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(requested, cpus)
 
 
 def _float_cell(value: Fraction) -> Optional[float]:
@@ -317,17 +325,14 @@ def _cmd_figure4(args) -> int:
     n_max = 2**args.max_k + 1
     table = optimal_costs(n_max)
     # Stage k reuses the per-run seed derivation with run indices offset by
-    # k * runs, so every (stage, run) pair has a distinct stream.  One pool
-    # serves every stage.
+    # k * runs, so every (stage, run) pair has a distinct stream.  Each stage
+    # forks its own workers; a worker's fork, exit and wait take about 2 ms.
     workers = _worker_processes(args.workers)
     try:
-        with worker_pool(workers) as pool:
-            batches = {
-                k: simulate_batch(
-                    k, args.runs, args.seed + k * args.runs, workers=workers, pool=pool
-                )
-                for k in range(args.max_k + 1)
-            }
+        batches = {
+            k: simulate_batch(k, args.runs, args.seed + k * args.runs, workers=workers)
+            for k in range(args.max_k + 1)
+        }
     except RuntimeError as exc:
         return _run_error(exc)
     mc_rows = {2**k + 3: stats for k, stats in batches.items()}

@@ -40,14 +40,19 @@ range arrives, hands it to an optional callback in run order and drops
 it, so its memory does not grow with the number of runs.  Its mean and
 standard deviation come from the exact sums.  Within a range the runs'
 draws are seeded, and their first block computed, for 256 runs at a time.
+With several workers the ranges are made by forked child processes, which
+stream their parts back over pipes (POSIX only; elsewhere the batch runs
+in this process).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from array import array
 from collections import namedtuple
-from contextlib import contextmanager, nullcontext
+from contextlib import closing
 from fractions import Fraction
 from functools import cache
 from itertools import islice
@@ -71,7 +76,6 @@ __all__ = [
     "run_similar_sizes",
     "trace_similar_sizes",
     "simulate_batch",
-    "worker_pool",
     "exact_expected_cost",
 ]
 
@@ -80,7 +84,8 @@ DEFAULT_STEP_BUDGET = 10**9
 _RANGE_CHUNK = 256
 # Most runs in one range of a batch.  A range's part is two arrays of 8
 # bytes per run, so a batch holds a few of them (256 KiB each) whatever its
-# run count.  Pool ranges are smaller below 8 * workers * _RANGE_CAP runs.
+# run count.  With several workers, ranges are smaller below
+# 8 * workers * _RANGE_CAP runs, so that each worker makes about eight.
 _RANGE_CAP = 2**14
 
 
@@ -394,45 +399,125 @@ def _sample_std(n: int, total: int, total_sq: int) -> float:
     return root / (1 << shift)
 
 
-@contextmanager
-def worker_pool(workers: int):
-    """A process pool of ``workers`` processes, or None when ``workers <= 1``.
+def _ranges(k, master_seed, runs, step, first=0, stride=1):
+    """:func:`_run_range` arguments of ranges ``first``, ``first + stride``,
+    ... of a batch of ``runs`` runs cut into ranges of ``step`` runs."""
+    for start in range(first * step, runs, stride * step):
+        yield k, master_seed, start, min(start + step, runs)
 
-    Several :func:`simulate_batch` calls may share one pool.  When the
-    body raises, the pool's queued work is cancelled.  The pool
-    machinery (``concurrent.futures.process`` and ``multiprocessing``) is
-    imported only here, so a 1-worker command does not pay for it.
+
+def _make_parts(ranges, pipe_fd):
+    """Body of a forked worker: write the part of each range in ``ranges``
+    to the pipe ``pipe_fd``, then end the process.
+
+    A part is written as its run count and then its costs and final sizes,
+    each an ``array('q')`` in machine byte order.  A ``RuntimeError``, such
+    as the step-budget error, is written as minus the length of its UTF-8
+    message and then the message, and ends the worker.  The worker first
+    closes every descriptor it inherited except stderr and its pipe: the
+    read ends of earlier workers' pipes, the caller's output files, stdout.
+    It ends through ``os._exit``, so it flushes no buffer it inherited and
+    runs no ``atexit`` handler.
     """
-    if workers <= 1:
-        yield None
-        return
-    from concurrent.futures import ProcessPoolExecutor
+    status = 1
+    try:
+        low = 0
+        for fd in sorted({2, pipe_fd}):
+            os.closerange(low, fd)
+            low = fd + 1
+        os.closerange(low, os.sysconf("SC_OPEN_MAX"))
+        with open(pipe_fd, "wb") as pipe:
+            for args in ranges:
+                try:
+                    costs, sizes = _run_range(args)
+                except RuntimeError as exc:
+                    message = str(exc).encode()
+                    array("q", [-len(message)]).tofile(pipe)
+                    pipe.write(message)
+                    break
+                array("q", [len(costs)]).tofile(pipe)
+                costs.tofile(pipe)
+                sizes.tofile(pipe)
+                pipe.flush()
+        status = 0
+    except Exception:
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(status)
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        try:
-            yield pool
-        except BaseException:
-            # Start none of the work still queued, such as the next window
-            # of a failed batch: only the running work is waited for.
-            pool.shutdown(cancel_futures=True)
-            raise
+
+def _read_part(pipe):
+    """The next part a worker wrote to ``pipe`` (see :func:`_make_parts`),
+    or None when the pipe ends first.  A worker's error is raised as a
+    ``RuntimeError`` with its message."""
+    count, costs, sizes = array("q"), array("q"), array("q")
+    try:
+        count.fromfile(pipe, 1)
+        if count[0] <= 0:
+            raise RuntimeError(pipe.read(-count[0]).decode())
+        costs.fromfile(pipe, count[0])
+        sizes.fromfile(pipe, count[0])
+    except EOFError:
+        return None
+    return costs, sizes
 
 
-def _pool_parts(pool, ranges, window):
-    """The parts of ``ranges`` from ``pool.map``, ``window`` ranges at a time.
+def _reap(pids, w):
+    """Wait for worker ``w``, mark it reaped and return its exit status."""
+    status = os.waitstatus_to_exitcode(os.waitpid(pids[w], 0)[1])
+    pids[w] = None
+    return status
 
-    ``pool.map`` submits every range it is given at once, and each pending
-    range holds a future of about 2 KB, so one call for all of them would
-    grow with the run count.  The next window is submitted before the
-    current one is read, so the workers never wait between windows, and at
-    most two windows are pending.
+
+def _forked_parts(k, master_seed, runs, step, workers):
+    """The parts of a batch's ranges of ``step`` runs, in run order, made
+    by ``workers`` forked worker processes.
+
+    Worker ``w`` makes ranges ``w``, ``w + workers``, ... and writes their
+    parts to a pipe of its own (:func:`_make_parts`); part ``i`` is read
+    from worker ``i % workers``.  A worker whose pipe is full waits until
+    its next part is read, so memory does not grow with ``runs``.  A
+    worker's ``RuntimeError`` is raised here with the same message, and a
+    pipe that ends before the worker's last part, or a worker that exits
+    with a nonzero status, raises a ``RuntimeError`` naming that status.
+    Every worker is reaped before the generator ends.  When it ends by an
+    error, or is closed before its last part, the workers are killed first.
     """
-    parts = pool.map(_run_range, list(islice(ranges, window)))
-    while following := list(islice(ranges, window)):
-        following_parts = pool.map(_run_range, following)
-        yield from parts
-        parts = following_parts
-    yield from parts
+    pipes, pids = [], []
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if not pid:
+                    _make_parts(_ranges(k, master_seed, runs, step, w, workers), write_fd)
+            finally:
+                os.close(write_fd)  # only the parent gets here
+            pids.append(pid)
+        for i in range(len(range(0, runs, step))):
+            part = _read_part(pipes[i % workers])
+            if part is None:
+                status = _reap(pids, i % workers)
+                raise RuntimeError(f"a worker process ended early with exit status {status}")
+            yield part
+            del part  # free the part before the next one is read
+        for w in range(workers):
+            if status := _reap(pids, w):
+                raise RuntimeError(f"a worker process ended with exit status {status}")
+    except BaseException:
+        import signal  # only here: a batch that succeeds never loads it
+
+        for pid in pids:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for w, pid in enumerate(pids):
+            if pid is not None:
+                _reap(pids, w)
+        for pipe in pipes:
+            pipe.close()
 
 
 def simulate_batch(
@@ -441,7 +526,6 @@ def simulate_batch(
     master_seed: int,
     *,
     workers: int = 1,
-    pool=None,
     on_part=None,
 ) -> BatchStats:
     """Run the similar-sizes strategy ``runs`` times with derived seeds.
@@ -452,14 +536,15 @@ def simulate_batch(
     come from :func:`wfuse.rng.draws_for_range`, 256 runs at a time, which
     seeds them and computes their first block together; every run is
     bit-identical to ``run_similar_sizes(k, stream_for_run(master_seed,
-    i))``.  With ``workers > 1`` the runs go to ``pool`` (from
-    :func:`worker_pool`) when one is given, and to a pool started for this
-    call otherwise.
+    i))``.
 
-    The runs are made in ranges of at most :data:`_RANGE_CAP` runs, handed
-    to a pool ``8 * workers`` ranges at a time, and each range's part is
-    folded into the statistics as it arrives and then dropped, so memory
-    does not grow with ``runs``.  When ``on_part`` is given it is called
+    The runs are made in ranges of at most :data:`_RANGE_CAP` runs, and
+    each range's part is folded into the statistics as it arrives and then
+    dropped, so memory does not grow with ``runs``.  With ``workers > 1``
+    and ``os.fork`` available, ``workers`` forked processes make about
+    eight ranges each and stream their parts back over pipes; they are all
+    reaped before this function returns or raises.  Without ``os.fork``
+    the batch runs in this process.  When ``on_part`` is given it is called
     with every part, in run order, as ``on_part(costs, final_sizes)``: two
     ``array('q')`` values of the same length holding the range's costs and
     final sizes, starting at the run after the previous part's last.  The
@@ -467,22 +552,18 @@ def simulate_batch(
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    # About eight ranges per worker, so that the workers finish together.
-    window = workers * 8
-    if workers <= 1:
-        step = _RANGE_CAP
-        context = nullcontext()
+    # A worker beyond the run count would have no range to make.
+    workers = min(workers, runs)
+    if workers > 1 and hasattr(os, "fork"):
+        # About eight ranges per worker, so that the workers finish together.
+        step = min(-(-runs // (8 * workers)), _RANGE_CAP)
+        parts = _forked_parts(k, master_seed, runs, step, workers)
     else:
-        step = min(-(-runs // window), _RANGE_CAP)
-        context = nullcontext(pool) if pool is not None else worker_pool(workers)
-    ranges = ((k, master_seed, i, min(i + step, runs)) for i in range(0, runs, step))
+        parts = (_run_range(args) for args in _ranges(k, master_seed, runs, _RANGE_CAP))
     total = total_sq = 0
     low, high = math.inf, -math.inf
-    with context as pool:
-        if pool is None:
-            parts = map(_run_range, ranges)
-        else:
-            parts = _pool_parts(pool, ranges, window)
+    # Closing the parts ends the workers when the fold or on_part raises.
+    with closing(parts):
         for costs, final_sizes in parts:
             total += sum(costs)
             total_sq += sum(map(mul, costs, costs))

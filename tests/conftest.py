@@ -11,7 +11,7 @@ import wfuse.simulate
 # No test takes more than a few seconds; one that runs this long has hung.
 # The watchdog then prints every thread's traceback and ends the run.
 TEST_WATCHDOG_S = 300
-# Step budget of every run a batch makes in this process or in a pool worker
+# Step budget of every run a batch makes in this process or in a worker
 # forked from it.  The largest in-process batch, acceptance criterion 08 at
 # k = 6 (1000 runs), needs at most 94,744 steps per run (20,417 on average),
 # so a kernel that stalls fails within seconds instead of running into the
@@ -38,6 +38,18 @@ def watchdog():
     faulthandler.dump_traceback_later(TEST_WATCHDOG_S, exit=True, file=_stderr_fd)
     yield
     faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    # Batches with several workers fork them; each must be reaped, on
+    # success and on every error, before the batch returns or raises.
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process outlived the test (waitpid: {pid}, {status})")
 
 
 @pytest.fixture(autouse=True)

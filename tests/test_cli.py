@@ -27,6 +27,11 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def allow_cpus(monkeypatch, cpus):
+    """Let this process run on ``cpus`` CPUs, as the CLI counts them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 def parse_csv(text):
     lines = text.strip("\n").split("\n")
     header = lines[0].split(",")
@@ -337,7 +342,7 @@ class TestSimulateCommand:
 
         monkeypatch.setattr(wfuse.simulate, "run_similar_sizes", fail_after_a_range)
         monkeypatch.setattr(wfuse.cli, "_write_dump", record_dump)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        allow_cpus(monkeypatch, 2)
         dump, out = tmp_path / "runs.csv", tmp_path / "row.csv"
         runs = str(4 * wfuse.simulate._RANGE_CAP)
         argv = [
@@ -349,6 +354,31 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert captured.err == "wfuse: error: step budget 10 exceeded at k=0\n"
         assert written[0] == 0
+        assert not dump.exists() and not out.exists()
+
+    def test_worker_that_ends_early_exits_one(self, capsys, monkeypatch, tmp_path):
+        # Each worker ends, with status 0, when it starts its second range
+        # of 10 runs; the short batch must not pass for a whole one.
+        parent = os.getpid()
+        kernel = wfuse.simulate.run_similar_sizes
+        calls = itertools.count()
+
+        def exit_after_a_range(k, draws, **kwargs):
+            if os.getpid() != parent and next(calls) == 10:
+                os._exit(0)
+            return kernel(k, draws, **kwargs)
+
+        monkeypatch.setattr(wfuse.simulate, "run_similar_sizes", exit_after_a_range)
+        allow_cpus(monkeypatch, 2)
+        dump, out = tmp_path / "runs.csv", tmp_path / "row.csv"
+        argv = [
+            "simulate", "--k", "0", "--runs", "160", "--seed", "1", "--workers", "2",
+            "--dump-runs", str(dump), "--out", str(out),
+        ]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "wfuse: error: a worker process ended early with exit status 0\n"
         assert not dump.exists() and not out.exists()
 
     def test_dump_memory_stays_flat(self, tmp_path, constant_runs):
@@ -459,58 +489,66 @@ class TestFigure4Command:
     def test_rejects_large_k(self, capsys):
         assert main(["figure4", "--max-k", "9", "--runs", "5", "--seed", "1"]) == 2
 
-    def test_one_pool_serves_every_stage(self, capsys, monkeypatch):
-        import concurrent.futures
+    def test_each_stage_forks_at_most_workers_children(self, capsys, monkeypatch):
+        events = []
+        fork, batch = os.fork, wfuse.cli.simulate_batch
 
-        pools = []
+        def recording_fork():
+            events.append("fork")
+            return fork()
 
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
+        def recording_batch(k, *args, **kwargs):
+            events.append(k)
+            return batch(k, *args, **kwargs)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "fork", recording_fork)
+        monkeypatch.setattr(wfuse.cli, "simulate_batch", recording_batch)
         # Two CPUs, so that --workers 2 is not capped on a one-CPU host.
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        allow_cpus(monkeypatch, 2)
         argv = ("figure4", "--max-k", "3", "--runs", "20", "--seed", "4")
         _, serial = run_cli(capsys, *argv, "--workers", "1")
-        assert pools == []
-        _, pooled = run_cli(capsys, *argv, "--workers", "2")
-        assert pools == [2]  # one pool of two processes for stages k = 0..3
-        assert pooled == serial
+        assert events == [0, 1, 2, 3]
+        events.clear()
+        _, forked = run_cli(capsys, *argv, "--workers", "2")
+        assert events == [0, "fork", "fork", 1, "fork", "fork", 2, "fork", "fork", 3, "fork", "fork"]
+        assert forked == serial
 
     @pytest.mark.parametrize("command", ["simulate", "figure4"])
     def test_workers_capped_at_cpu_count(self, capsys, monkeypatch, command):
-        # The pool stand-in records its size and maps in this process, so
-        # no worker process is started whatever the size asked for.
-        import concurrent.futures
+        # The stand-in for the fork path records the worker count it is
+        # handed and makes the parts in this process, so no worker process
+        # is started whatever the count asked for.
+        handed = []
 
-        pools = []
+        def serial_parts(k, master_seed, runs, step, workers):
+            handed.append(workers)
+            ranges = wfuse.simulate._ranges(k, master_seed, runs, step)
+            return (wfuse.simulate._run_range(args) for args in ranges)
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(wfuse.simulate, "_forked_parts", serial_parts)
         if command == "simulate":
             argv = ("simulate", "--k", "2", "--runs", "40", "--seed", "6")
         else:
             argv = ("figure4", "--max-k", "2", "--runs", "20", "--seed", "6")
+        batches = 1 if command == "simulate" else 3
         _, serial = run_cli(capsys, *argv, "--workers", "1")
-        for cpus, workers, expected in ((3, "64", [3]), (None, "8", []), (1, "2", [])):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            pools.clear()
+        # (CPUs in the affinity mask or None where the platform has none,
+        # os.cpu_count(), --workers, workers forked per batch): the mask
+        # wins over the host's count, as under `taskset -c 0` on two CPUs.
+        for mask_cpus, host_cpus, workers, expected in (
+            (3, 8, "64", 3),
+            (1, 2, "2", None),
+            (None, 3, "64", 3),
+            (None, None, "8", None),
+        ):
+            if mask_cpus is None:
+                monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            else:
+                allow_cpus(monkeypatch, mask_cpus)
+            monkeypatch.setattr(os, "cpu_count", lambda: host_cpus)
+            handed.clear()
             assert run_cli(capsys, *argv, "--workers", workers) == (0, serial)
-            assert pools == expected, (cpus, workers)
+            assert handed == ([expected] * batches if expected else []), (mask_cpus, host_cpus)
 
     def test_json_blanks_are_null(self, capsys):
         code, out = run_cli(
@@ -621,6 +659,18 @@ class TestStartup:
         added = self.modules_added_by("import wfuse.cli")
         assert "wfuse.gate" in added and "wfuse.simulate" in added
         assert not added & {"dataclasses", "inspect", "json"}
+
+    def test_forked_batch_loads_no_pool_machinery(self):
+        # Two CPUs in the mask, so that --workers 2 forks on any host.
+        added = self.modules_added_by(
+            "import os\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from wfuse.cli import main\n"
+            "main(['simulate', '--k', '1', '--runs', '200', '--seed', '5',"
+            " '--workers', '2', '--out', os.devnull])"
+        )
+        assert "wfuse.simulate" in added
+        assert not added & {"concurrent.futures", "multiprocessing", "signal", "struct"}
 
     def test_simulate_import_loads_no_other_layers(self):
         added = self.modules_added_by("from wfuse.simulate import exact_expected_cost")

@@ -1,9 +1,11 @@
 import math
+import os
 import random
 import statistics
 import time
 import tracemalloc
 import weakref
+from array import array
 from fractions import Fraction
 from itertools import islice, product, repeat
 
@@ -47,7 +49,6 @@ from wfuse.simulate import (
     run_similar_sizes,
     simulate_batch,
     trace_similar_sizes,
-    worker_pool,
 )
 
 
@@ -388,6 +389,12 @@ def discard(costs, final_sizes):
     pass
 
 
+def assert_no_child_process():
+    """No child of this process is left, running or a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def traced_peak(fn, *args, **kwargs):
     """Peak bytes of Python allocations traced while ``fn`` runs."""
     tracemalloc.start()
@@ -414,30 +421,29 @@ class TestBatches:
         assert len(costs) == len(sizes) == 97
         assert lengths == [97]
         for workers, step in ((2, 7), (3, 5)):
-            pooled = run_batch(2, 97, 55, workers=workers)
-            assert pooled[:3] == (stats, costs, sizes)
-            assert pooled[3] == [step] * (97 // step) + [97 % step]
+            forked = run_batch(2, 97, 55, workers=workers)
+            assert forked[:3] == (stats, costs, sizes)
+            assert forked[3] == [step] * (97 // step) + [97 % step]
         assert simulate_batch(2, 97, 55) == stats
 
-    def test_pool_parts_are_freed_before_the_next(self):
-        # The stand-in makes each range's part only when the next one is
-        # asked for, and keeps no reference to it.  By then every earlier
-        # part must be freed: the batch folds a part and drops it.
+    def test_worker_parts_are_freed_before_the_next(self, monkeypatch):
+        # The workers are real; the parent reads each part from a pipe, and
+        # by the time it reads the next one every earlier part must be
+        # freed: the batch folds a part and drops it.
+        read_part = wfuse.simulate._read_part
         parts = []
 
-        class LazyPool:
-            def map(self, fn, ranges):
-                for item in ranges:
-                    alive = [i for i, refs in enumerate(parts) if any(r() for r in refs)]
-                    assert alive == [], alive
-                    part = fn(item)
-                    parts.append(tuple(map(weakref.ref, part)))
-                    yield part
-                    del part
+        def checked_read(pipe):
+            alive = [i for i, refs in enumerate(parts) if any(r() for r in refs)]
+            assert alive == [], alive
+            part = read_part(pipe)
+            parts.append(tuple(map(weakref.ref, part)))
+            return part
 
+        monkeypatch.setattr(wfuse.simulate, "_read_part", checked_read)
         for on_part in (None, discard):
             parts.clear()
-            stats = simulate_batch(2, 97, 55, workers=2, pool=LazyPool(), on_part=on_part)
+            stats = simulate_batch(2, 97, 55, workers=2, on_part=on_part)
             assert len(parts) == 14  # ranges of at most 7 runs
             assert stats == simulate_batch(2, 97, 55, workers=1)
 
@@ -458,7 +464,7 @@ class TestBatches:
                     assert batch_sizes == sizes, (runs, k, workers)
 
     def test_ranges_are_capped(self, monkeypatch):
-        # Runs past the cap, at the real cap and at a cap of 5, whose pool
+        # Runs past the cap, at the real cap and at a cap of 5, whose worker
         # ranges (ceil(23 / 16) = 2 runs at 2 workers) stay below it.
         replay = [run_similar_sizes(0, stream_for_run(19, i)) for i in range(_RANGE_CAP + 3)]
         stats, costs, sizes, lengths = run_batch(0, _RANGE_CAP + 3, 19)
@@ -476,26 +482,70 @@ class TestBatches:
             assert batch[3] == expected, (runs, workers)
             assert batch[1] == costs[:runs] and batch[2] == sizes[:runs]
             assert batch[0] == simulate_batch(0, runs, 19, workers=3)
-        # The pool is handed 8 * workers ranges at a time.
-        windows = []
+        # Worker w makes ranges w, w + 2, ...: each part's final sizes are
+        # replaced by the pid of the process that made it.
+        run_range, fork = wfuse.simulate._run_range, os.fork
+        forked = []
 
-        class RecordingPool:
-            def map(self, fn, ranges):
-                windows.append(len(ranges))
-                return map(fn, ranges)
+        def recording_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
 
-        batch = run_batch(0, 200, 19, workers=2, pool=RecordingPool())
-        assert windows == [16, 16, 8]
+        def tagged(args):
+            part_costs, _ = run_range(args)
+            return part_costs, array("q", [os.getpid()]) * len(part_costs)
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        monkeypatch.setattr(wfuse.simulate, "_run_range", tagged)
+        batch = run_batch(0, 200, 19, workers=2)
+        assert len(forked) == 2 and os.getpid() not in forked
+        assert batch[2] == [forked[i % 2] for i in range(40) for _ in range(5)]
         assert batch[1] == costs[:200] and batch[3] == [5] * 40
 
-    def test_worker_pool_cancels_queued_work_on_error(self):
-        # A pool holds at most workers + 1 calls past cancelling, so the
-        # other 17 must be cancelled, not run while the error waits.
-        with pytest.raises(KeyError):
-            with worker_pool(2) as pool:
-                futures = [pool.submit(time.sleep, 0.05) for _ in range(20)]
-                raise KeyError
-        assert sum(future.cancelled() for future in futures) >= 17
+    def test_an_error_kills_the_workers_before_their_other_ranges(self, monkeypatch, tmp_path):
+        # Range 0 fails at once.  Worker 1's ranges append a byte per run to
+        # a file, at 2 ms a run: left to finish, it would write 800.
+        log = tmp_path / "runs"
+
+        def fail_or_log(args):
+            _, _, start, stop = args
+            if start == 0:
+                raise RuntimeError("range 0 failed")
+            with log.open("ab") as out:
+                for _ in range(start, stop):
+                    out.write(b".")
+                    out.flush()
+                    time.sleep(0.002)
+            return array("q", [4]) * (stop - start), array("q", [2]) * (stop - start)
+
+        monkeypatch.setattr(wfuse.simulate, "_run_range", fail_or_log)
+        with pytest.raises(RuntimeError, match="^range 0 failed$"):
+            simulate_batch(0, 1600, 3, workers=2)
+        assert_no_child_process()
+        written = log.stat().st_size if log.exists() else 0
+        assert written < 400, written
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_part_callback_error_ends_the_workers(self, error):
+        seen = []
+
+        def fail_on_third_part(costs, final_sizes):
+            seen.append(len(costs))
+            if len(seen) == 3:
+                raise error("callback failed")
+
+        # excinfo holds the error's traceback, and so the batch's frames and
+        # its parts generator: the workers must be gone all the same.
+        with pytest.raises(error, match="callback failed") as excinfo:
+            simulate_batch(0, 1600, 3, workers=2, on_part=fail_on_third_part)
+        assert_no_child_process()
+        assert seen == [100, 100, 100]
+
+    def test_without_fork_the_batch_runs_in_process(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert run_batch(2, 97, 55, workers=2) == run_batch(2, 97, 55, workers=1)
 
     def test_memory_does_not_grow_with_runs(self, constant_runs):
         # At the parent of the fold, which joined every part, this read
