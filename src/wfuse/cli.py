@@ -11,9 +11,10 @@ The CLI speaks in actual photon counts (``N >= 3``); conversion to the
 library's additive index ``n = N - 2`` happens only here.  Every output is
 a pure function of the flag set, seeds included: rerunning a command
 reproduces it byte for byte.  Exit codes: 0 success, 1 verification
-failure, a Monte Carlo run over its step budget or a worker process that
-ended early, 2 usage error, an output path that cannot be opened for
-writing included.
+failure, a Monte Carlo run over its step budget, a worker process that
+ended early or an output that could not be written (a full disk, a closed
+pipe), 2 usage error, an output path that cannot be opened for writing
+included.
 """
 
 from __future__ import annotations
@@ -81,6 +82,11 @@ class _OutputError(Exception):
     """An output path that cannot be opened for writing."""
 
 
+class _WriteError(RuntimeError):
+    """An output that could not be written, such as a full disk or a pipe
+    whose reader has gone."""
+
+
 def _open_output(path: str):
     try:
         return open(path, "w", newline="")
@@ -89,13 +95,37 @@ def _open_output(path: str):
 
 
 @contextmanager
+def _writing(handle):
+    """Raise an ``OSError`` of the body as a :class:`_WriteError`.
+
+    When ``handle`` is stdout, stdout is first pointed at ``os.devnull``,
+    so that the flush at exit does not fail again on the text left in its
+    buffer.
+    """
+    try:
+        yield
+    except OSError as exc:
+        if handle is sys.stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+        raise _WriteError(f"cannot write {handle.name}: {exc.strerror}") from None
+
+
+@contextmanager
 def _output(path: Optional[str]):
-    """An open handle on ``path``, or stdout when ``path`` is None."""
+    """An open handle on ``path``, or stdout when ``path`` is None, flushed
+    or closed on leaving."""
     if not path:
         yield sys.stdout
+        with _writing(sys.stdout):
+            sys.stdout.flush()
         return
-    with _open_output(path) as handle:
+    handle = _open_output(path)
+    try:
         yield handle
+    finally:
+        with _writing(handle):
+            handle.close()
 
 
 def _json_lines(rows: Iterable[dict]) -> Iterator[str]:
@@ -122,7 +152,8 @@ def _write_rows(rows: Iterable[dict], fmt: str, handle) -> None:
     table of ``cost --target 10000`` peaks at about 15 MB of resident memory
     in CSV and in JSON (27 and 116 MB when it was built whole first).
     """
-    handle.writelines(_csv_lines(rows) if fmt == "csv" else _json_lines(rows))
+    with _writing(handle):
+        handle.writelines(_csv_lines(rows) if fmt == "csv" else _json_lines(rows))
 
 
 def _usage_error(message: str) -> int:
@@ -230,12 +261,14 @@ def _write_dump(handle, start, costs, final_sizes) -> None:
 def _dump_writer(handle):
     """Write the `--dump-runs` header to ``handle``; return the
     ``simulate_batch`` part callback that writes each part's rows."""
+    # The header only fills the new file's buffer, so it cannot fail here.
     handle.write("run,cost,final_N\n")
     start = 0
 
     def write_part(costs, final_sizes):
         nonlocal start
-        _write_dump(handle, start, costs, final_sizes)
+        with _writing(handle):
+            _write_dump(handle, start, costs, final_sizes)
         start += len(costs)
 
     return write_part
@@ -256,10 +289,11 @@ def _cmd_simulate(args) -> int:
     # Both paths are opened before the batch, --out first, so an unwritable
     # --out leaves no dump behind (an unwritable dump path leaves --out
     # empty).  The dump is written part by part as the batch makes it, and
-    # the summary row last.
+    # flushed before the summary row is written, so a dump that fails to
+    # write leaves no summary.
     try:
         with _output(args.out) as out, (
-            _open_output(args.dump_runs) if args.dump_runs else nullcontext()
+            _output(args.dump_runs) if args.dump_runs else nullcontext()
         ) as dump:
             stats = simulate_batch(
                 args.k,
@@ -268,6 +302,9 @@ def _cmd_simulate(args) -> int:
                 workers=_worker_processes(args.workers),
                 on_part=_dump_writer(dump) if dump is not None else None,
             )
+            if dump is not None:
+                with _writing(dump):
+                    dump.flush()
             row = {
                 "k": stats.k,
                 "nominal_N": 2**stats.k + 3,
@@ -281,7 +318,8 @@ def _cmd_simulate(args) -> int:
             }
             _write_rows([row], args.format, out)
     except RuntimeError as exc:
-        # A failed batch leaves no output, though the dump may hold rows.
+        # A failed batch or write leaves no output, though the dump may
+        # hold rows.
         # Only regular files are removed, never a device such as /dev/null.
         for path in (args.out, args.dump_runs):
             if path and os.path.isfile(path):
@@ -436,6 +474,8 @@ def _run(args) -> int:
         return args.func(args)
     except _OutputError as exc:
         return _usage_error(str(exc))
+    except _WriteError as exc:
+        return _run_error(exc)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

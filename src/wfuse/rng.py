@@ -15,32 +15,46 @@ platform RNG.
   seeded with ``mix64(s + i)``, so batches are order- and
   parallelism-independent.
 
-Block draws.  Word j depends only on the counter ``s + (j+1)*gamma``, so
-the words can be computed in any grouping.  :func:`block53` computes the
-53-bit draws ``word >> 11`` of ``count`` consecutive words at once, with
-whole-int operations on one Python int that holds the counters in 128-bit
-lanes (lane j at bit ``128*j``).  The lanes are filled by one multiply-add,
-``s * sum(2**(128*j)) + sum((j+1)*gamma * 2**(128*j))``; each lane's sum is
-below ``(count+1) * 2**64``, so none spills into the next, and masking every
-lane to 64 bits gives the counters modulo ``2**64``.  ``mix64`` then runs
-lane-wise: after every xor-shift and every multiply each lane is masked
-back to 64 bits.  A right shift moves at most 31 bits of the next lane into
-the upper half of a lane, and a 64x64-bit product fits in 128 bits, so no
-carry or shifted bit ever reaches a neighbouring lane's low 64 bits.  The
-lanes are unpacked with ``int.to_bytes`` in the host's byte order and a
-native ``memoryview.cast("Q")``, keeping the low word of each lane.  Every
-draw is therefore bit-identical to ``next64() >> 11``.  Iterating a
-:class:`SplitMix64` yields its draws from its current state, computed in
-blocks, and does not move the stream.
+Counter lanes.  Word j depends only on the counter ``s + (j+1)*gamma``,
+so the words can be computed in any grouping.  One routine,
+``_mixed_counters``, computes ``mix64`` of many counters at once with
+whole-int operations on one Python int that holds them in 128-bit lanes
+(lane i at bit ``128*i``).  It takes ``runs`` values, one in the low 64
+bits of each lane, and copies that group of lanes by doubling shifts, so
+that lane ``j*runs + r`` holds value r for every ``j < count`` (a count
+that is not a power of two gets extra copies, which the mask below drops).
+It adds ``(j+1) * step`` to lane ``j*runs + r`` and masks every lane to 64
+bits, which gives the counters modulo ``2**64``.  No carry reaches the
+next lane: a lane's bits 64..96 are zero, and the sum of its value and
+its step is below ``(count+1) * 2**64``, far below ``2**97``.  ``mix64``
+then runs lane-wise: after every xor-shift and every multiply each lane is
+masked back to 64 bits.  A right shift moves at most 31 bits of the next
+lane into the upper half of a lane, and a 64x64-bit product fits in 128
+bits, so no carry or shifted bit ever reaches a neighbouring lane's low 64
+bits.  The last xor-shift is not masked: it leaves bits 64..96 of each
+lane zero and bits of the next lane in bits 97..127, so a mixed result can
+be the values of another call, and after a right shift by 11 each lane's
+low word is its 53-bit draw.  The lanes are unpacked with ``int.to_bytes``
+in the host's byte order and a native ``memoryview.cast("Q")``, keeping
+the low word of each lane.
+
+Block draws.  :func:`block53` is that routine on one value, the state,
+with ``count`` copies and step gamma, shifted right by 11 bits: the
+53-bit draws ``word >> 11`` of ``count`` consecutive words, each
+bit-identical to ``next64() >> 11``.  Iterating a :class:`SplitMix64`
+yields its draws from its current state, computed in blocks, and does not
+move the stream.
 
 Range draws.  :func:`draws_for_range` serves a batch's runs ``start`` to
-``stop - 1`` with the same lane arithmetic.  One lane computation gives
-every seed ``mix64(master_seed + i)``: lane r holds ``master_seed + start
-+ r`` modulo ``2**64``.  The seed lanes are copied with shifts so that
-lane ``j * runs + r`` holds seed r, and one more computation gives every
-run's first block of 16 draws, ``mix64(seed_r + (j+1)*gamma) >> 11``.
-Each run's iterator yields that block and then computes blocks of 16, 32,
-64, 128 and 256 draws from the next word on, so its draws are those of
+``stop - 1`` with the same routine, 256 runs at a time.  For runs ``lo``
+on, the seeds ``mix64(master_seed + lo + r)`` are one call on the one
+value ``master_seed + lo - 1`` modulo ``2**64``, with step 1 (where
+``master_seed + lo`` is a multiple of ``2**64`` that value is ``2**64 -
+1`` and the first counter wraps to 0).  One more call, with the seeds as
+its values, 16 copies and step gamma, gives every run's first block of 16
+draws ``mix64(seed_r + (j+1)*gamma) >> 11`` in lane ``j*runs + r``.  Each
+run's iterator yields that block and then computes blocks of 16, 32, 64,
+128 and 256 draws from the next word on, so its draws are those of
 ``stream_for_run(master_seed, i)``: the range draws change no bit.  The
 refill starts at 16 rather than 32 because few runs reach far past the
 head: at k = 1 about 32% of runs need a 17th draw but under 9% a 33rd.
@@ -79,6 +93,8 @@ _STEP = _LANE_STEP[sys.byteorder]
 # block of 16 before doubling, since under 9% need a 33rd.
 _FIRST_BLOCK = 16
 _MAX_BLOCK = 256
+# Runs whose seeds and first blocks :func:`draws_for_range` computes at once.
+_RANGE_CHUNK = 256
 
 
 def mix64(x: int) -> int:
@@ -90,17 +106,6 @@ def mix64(x: int) -> int:
     x = (x * _MIX_B) & MASK64
     x ^= x >> 31
     return x
-
-
-@lru_cache(maxsize=32)
-def _lane_constants(count: int) -> tuple[int, int, int, int]:
-    """(lane repunit, packed (j+1)*gamma steps, 64-bit mask, 53-bit mask)."""
-    ones = ((1 << (128 * count)) - 1) // ((1 << 128) - 1)
-    steps = int.from_bytes(
-        b"".join(((j + 1) * _GOLDEN).to_bytes(16, "little") for j in range(count)),
-        "little",
-    )
-    return ones, steps, ones * MASK64, ones * ((1 << 53) - 1)
 
 
 def _mix_lanes(x: int, mask64: int) -> int:
@@ -122,10 +127,32 @@ def _mix_lanes(x: int, mask64: int) -> int:
     return x ^ (x >> 31)
 
 
-def _lanes53(state: int, count: int) -> int:
-    """The draws of :func:`block53` in the low bits of 128-bit lanes."""
-    ones, steps, mask64, mask53 = _lane_constants(count)
-    return (_mix_lanes((state * ones + steps) & mask64, mask64) >> 11) & mask53
+@lru_cache(maxsize=16)
+def _counter_constants(runs: int, count: int, step: int) -> tuple[int, int]:
+    """(steps, mask) of :func:`_mixed_counters` over ``runs * count`` lanes.
+
+    Lane ``j * runs + r`` of ``steps`` holds ``(j+1) * step``, and ``mask``
+    is the 64-bit mask of every lane.
+    """
+    steps = b"".join(((j + 1) * step).to_bytes(16, "little") * runs for j in range(count))
+    mask64 = (b"\xff" * 8 + bytes(8)) * (runs * count)
+    return int.from_bytes(steps, "little"), int.from_bytes(mask64, "little")
+
+
+def _mixed_counters(lanes: int, runs: int, count: int, step: int) -> int:
+    """``mix64(value_r + (j+1) * step)`` in lane ``j * runs + r``, for
+    ``r < runs`` and ``j < count``.
+
+    ``lanes`` holds ``runs`` lanes whose bits 64..96 are zero (one value
+    below ``2**64``, or a result of this routine), and value r is the low
+    64 bits of lane r.  See the module docstring for the lane layout.
+    """
+    steps, mask64 = _counter_constants(runs, count, step)
+    width, end = 128 * runs, 128 * runs * count
+    while width < end:
+        lanes |= lanes << width
+        width *= 2
+    return _mix_lanes((lanes + steps) & mask64, mask64)
 
 
 def _lane_words(lanes: int, count: int) -> memoryview:
@@ -142,7 +169,7 @@ def block53(state: int, count: int) -> memoryview:
     ``count`` calls of ``next64() >> 11``.  See the module docstring for
     the lane layout.
     """
-    return _lane_words(_lanes53(state, count), count)
+    return _lane_words(_mixed_counters(state & MASK64, 1, count, _GOLDEN) >> 11, count)
 
 
 def _blocks53(state: int, count: int = _FIRST_BLOCK):
@@ -187,54 +214,22 @@ def _head_then_blocks53(head: memoryview, seed: int):
     yield from _blocks53((seed + _FIRST_BLOCK * _GOLDEN) & MASK64)
 
 
-@lru_cache(maxsize=8)
-def _range_constants(runs: int) -> tuple[int, int, int]:
-    """(ramp, steps, mask) for :func:`draws_for_range` over ``runs`` runs.
-
-    Lane r of ``ramp`` holds r.  ``steps`` and ``mask`` span the
-    ``runs * _FIRST_BLOCK`` head lanes: lane ``j * runs + r`` of ``steps``
-    holds ``(j+1) * gamma``, and ``mask`` is their 64-bit lane mask.
-    """
-    ramp = b"".join(r.to_bytes(16, "little") for r in range(runs))
-    steps = b"".join(
-        ((j + 1) * _GOLDEN).to_bytes(16, "little") * runs for j in range(_FIRST_BLOCK)
-    )
-    mask64 = (b"\xff" * 8 + bytes(8)) * (runs * _FIRST_BLOCK)
-    return tuple(int.from_bytes(raw, "little") for raw in (ramp, steps, mask64))
-
-
 def draws_for_range(master_seed: int, start: int, stop: int):
     """The draws of runs ``start`` to ``stop - 1``, as :func:`stream_for_run`.
 
-    Returns an iterator over one endless draw iterator per run; the
-    ``r``-th holds exactly the draws of ``stream_for_run(master_seed,
-    start + r)``, whose seed is ``mix64(master_seed + start + r)``.  Each
-    is single-use: a run that reads it uses its draws up.  The seeds are
-    computed in one lane computation, and every run's first block of draws
-    in one more, so a run that ends within that block pays no block setup
-    of its own.  The draw iterators are made as they are taken, so only
-    the one in use holds a generator frame.
+    Yields one endless draw iterator per run; the ``r``-th holds exactly
+    the draws of ``stream_for_run(master_seed, start + r)``, whose seed is
+    ``mix64(master_seed + start + r)``.  Each is single-use: a run that
+    reads it uses its draws up.  For :data:`_RANGE_CHUNK` runs at a time,
+    the seeds are computed in one lane computation and every run's first
+    block of draws in one more, so a run that ends within that block pays
+    no block setup of its own.  The draw iterators are made as they are
+    taken, so only the one in use holds a generator frame.
     """
-    runs = stop - start
-    ramp, head_steps, head_mask = _range_constants(runs)
-    ones, _, mask64, _ = _lane_constants(runs)
-    base = (master_seed + start) & MASK64
-    lanes = _mix_lanes((base * ones + ramp) & mask64, mask64)
-    seeds = _lane_words(lanes, runs)
-    # Copy the seed lanes _FIRST_BLOCK times (a power of two), so that lane
-    # j * runs + r holds seed r; adding head_steps makes it run r's counter j.
-    # The sum stays below 2**69 in each lane, so it does not reach the
-    # next-lane bits from 97 up, which the mask then clears.
-    count = runs * _FIRST_BLOCK
-    width = 128 * runs
-    while width < 128 * count:
-        lanes |= lanes << width
-        width *= 2
-    lanes = (lanes + head_steps) & head_mask
-    # Bits 64..74 of each mixed lane are zero, so after the shift each
-    # lane's low word is its 53-bit draw.
-    heads = _lane_words(_mix_lanes(lanes, head_mask) >> 11, count)
-    return (
-        chain.from_iterable(_head_then_blocks53(heads[r::runs], seed))
-        for r, seed in enumerate(seeds)
-    )
+    for lo in range(start, stop, _RANGE_CHUNK):
+        runs = min(_RANGE_CHUNK, stop - lo)
+        seeds = _mixed_counters((master_seed + lo - 1) & MASK64, 1, runs, 1)
+        heads = _mixed_counters(seeds, runs, _FIRST_BLOCK, _GOLDEN) >> 11
+        heads = _lane_words(heads, runs * _FIRST_BLOCK)
+        for r, seed in enumerate(_lane_words(seeds, runs)):
+            yield chain.from_iterable(_head_then_blocks53(heads[r::runs], seed))

@@ -38,11 +38,12 @@ returning its costs and final sizes as integer arrays.  The batch folds
 each range into exact integer sums, its minimum and its maximum as the
 range arrives, hands it to an optional callback in run order and drops
 it, so its memory does not grow with the number of runs.  Its mean and
-standard deviation come from the exact sums.  Within a range the runs'
-draws are seeded, and their first block computed, for 256 runs at a time.
-With several workers the ranges are made by forked child processes, which
-stream their parts back over pipes (POSIX only; elsewhere the batch runs
-in this process).
+standard deviation come from the exact sums.  A range's draws come from
+:func:`wfuse.rng.draws_for_range`, which seeds the runs and computes their
+first blocks together, as many runs at a time as it chooses.  With several
+workers the ranges are made by forked child processes, which stream their
+parts back over pipes (POSIX only; elsewhere the batch runs in this
+process).
 """
 
 from __future__ import annotations
@@ -80,8 +81,6 @@ __all__ = [
 ]
 
 DEFAULT_STEP_BUDGET = 10**9
-# Runs whose draws :func:`_run_range` seeds at once.
-_RANGE_CHUNK = 256
 # Most runs in one range of a batch.  A range's part is two arrays of 8
 # bytes per run, so a batch holds a few of them (256 KiB each) whatever its
 # run count.  With several workers, ranges are smaller below
@@ -361,18 +360,17 @@ class BatchStats(
 def _run_range(args) -> tuple[array, array]:
     """Costs and final sizes of runs ``start`` to ``stop - 1`` of a batch.
 
-    The draws are made :data:`_RANGE_CHUNK` runs at a time.  Every run
+    The draws come from :func:`wfuse.rng.draws_for_range`.  Every run
     calls the module-global ``run_similar_sizes``, so a wrapper put there
     sees each run.
     """
     k, master_seed, start, stop = args
     costs = array("q")
     sizes = array("q")
-    for lo in range(start, stop, _RANGE_CHUNK):
-        for draws in draws_for_range(master_seed, lo, min(lo + _RANGE_CHUNK, stop)):
-            result = run_similar_sizes(k, draws)
-            costs.append(result.cost)
-            sizes.append(result.final_size)
+    for draws in draws_for_range(master_seed, start, stop):
+        result = run_similar_sizes(k, draws)
+        costs.append(result.cost)
+        sizes.append(result.final_size)
     return costs, sizes
 
 
@@ -533,10 +531,9 @@ def simulate_batch(
     Run ``i`` reads the draws of the stream seeded ``mix64(master_seed +
     i)``, so the per-run cost vector is a pure function of ``(k, runs,
     master_seed)`` and identical for any ``workers`` setting.  The draws
-    come from :func:`wfuse.rng.draws_for_range`, 256 runs at a time, which
-    seeds them and computes their first block together; every run is
-    bit-identical to ``run_similar_sizes(k, stream_for_run(master_seed,
-    i))``.
+    come from :func:`wfuse.rng.draws_for_range`, which seeds the runs and
+    computes their first blocks together; every run is bit-identical to
+    ``run_similar_sizes(k, stream_for_run(master_seed, i))``.
 
     The runs are made in ranges of at most :data:`_RANGE_CAP` runs, and
     each range's part is folded into the statistics as it arrives and then

@@ -625,14 +625,89 @@ class TestStreamedOutput:
         assert peak < 0.5 * 2**20, peak
 
 
+DEV_FULL = "/dev/full"
+needs_dev_full = pytest.mark.skipif(
+    not os.path.exists(DEV_FULL), reason="no /dev/full device on this system"
+)
+FULL_ERROR = "wfuse: error: cannot write /dev/full: No space left on device\n"
+
+
+def module_env():
+    """The environment of a ``python -m wfuse`` subprocess run on this source."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+class TestWriteErrors:
+    @needs_dev_full
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cost", "--strategy", "linear", "--target", "3000"],
+            ["cost", "--strategy", "optimal", "--target", "10", "--format", "json"],
+            ["simulate", "--k", "0", "--runs", "10", "--seed", "1"],
+            ["verify-gate", "--n", "3", "--m", "3"],
+            ["figure4", "--max-k", "1", "--runs", "5", "--seed", "1"],
+        ],
+        ids=["cost-large", "cost-small", "simulate", "verify-gate", "figure4"],
+    )
+    def test_full_out_exits_one(self, capsys, argv):
+        # The small outputs fail when the file is closed, the large one
+        # while it is written.
+        assert main([*argv, "--out", DEV_FULL]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == FULL_ERROR
+
+    @needs_dev_full
+    @pytest.mark.parametrize("runs, workers", [("10", "1"), ("20000", "2")])
+    def test_full_dump_writes_no_summary(self, capsys, monkeypatch, tmp_path, runs, workers):
+        # 10 runs fail at the flush before the summary, 20,000 in a part
+        # written while the workers still run.
+        allow_cpus(monkeypatch, 2)
+        argv = [
+            "simulate", "--k", "0", "--runs", runs, "--seed", "1", "--workers", workers,
+            "--dump-runs", DEV_FULL,
+        ]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == FULL_ERROR
+        out = tmp_path / "row.csv"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == FULL_ERROR
+        assert not out.exists()
+
+    @needs_dev_full
+    def test_full_stdout_exits_one(self):
+        cmd = [sys.executable, "-m", "wfuse", "verify-gate", "--n", "3", "--m", "3"]
+        with open(DEV_FULL, "wb") as full:
+            done = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE, env=module_env())
+        assert done.returncode == 1
+        assert done.stderr == b"wfuse: error: cannot write <stdout>: No space left on device\n"
+
+    def test_closed_stdout_pipe_exits_one(self):
+        # The table is 2.2 MB, far more than a pipe holds, so the command is
+        # still writing when the reader goes.
+        cmd = [sys.executable, "-m", "wfuse", "cost", "--strategy", "linear", "--target", "3000"]
+        with subprocess.Popen(
+            cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env()
+        ) as proc:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 1
+        assert head.startswith(b"N,strategy,")
+        assert err == b"wfuse: error: cannot write <stdout>: Broken pipe\n"
+
+
 class TestSubprocessDeterminism:
     def test_module_invocation_reproduces_bytes(self):
         cmd = [
             sys.executable, "-m", "wfuse",
             "simulate", "--k", "2", "--runs", "150", "--seed", "77",
         ]
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
+        env = module_env()
         first = subprocess.run(cmd, capture_output=True, check=True, env=env)
         second = subprocess.run(cmd, capture_output=True, check=True, env=env)
         assert first.stdout == second.stdout

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import islice, product, repeat
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import wfuse.simulate
 from wfuse.fusion_model import (
@@ -25,7 +25,8 @@ from wfuse.growth_costs import linear_recycled_costs, w3_linear_cost
 from wfuse.rng import (
     _GOLDEN,
     _LANE_STEP,
-    _lanes53,
+    _RANGE_CHUNK,
+    _mixed_counters,
     MASK64,
     SplitMix64,
     block53,
@@ -40,7 +41,6 @@ from wfuse.simulate import (
     _S1_RECYCLE,
     _S1_SUCCESS,
     _RANGE_CAP,
-    _RANGE_CHUNK,
     FusionStep,
     RunResult,
     _sample_std,
@@ -108,7 +108,9 @@ class TestBlockDraws:
         # Read the lane bytes as 64-bit words the way a native cast does on
         # a host of the given byte order, then take the lanes' low words.
         count = 37
-        raw = _lanes53(2**64 - 1, count).to_bytes(16 * count, byteorder)
+        raw = (_mixed_counters(2**64 - 1, 1, count, _GOLDEN) >> 11).to_bytes(
+            16 * count, byteorder
+        )
         words = [int.from_bytes(raw[i : i + 8], byteorder) for i in range(0, len(raw), 8)]
         assert words[:: _LANE_STEP[byteorder]] == scalar_draws(2**64 - 1, count)
 
@@ -153,7 +155,7 @@ RANGE_MASTERS = st.one_of(
     st.integers(-(2**70), 2**70),
 )
 # Range starts, some close enough to 2**64 that master + start wraps inside
-# the range; lengths around the 256-run chunk of simulate._run_range.
+# the range; lengths around the 256-run seeding chunk of draws_for_range.
 RANGE_STARTS = st.one_of(st.integers(0, 2**20), st.integers(2**64 - 300, 2**64 + 300))
 RANGE_LENGTHS = st.sampled_from([1, 2, 255, 256, 257])
 
@@ -161,6 +163,14 @@ RANGE_LENGTHS = st.sampled_from([1, 2, 255, 256, 257])
 class TestRangeStreams:
     @settings(max_examples=25, deadline=None)
     @given(RANGE_MASTERS, RANGE_STARTS, RANGE_LENGTHS)
+    # master + start = 0 (mod 2**64): the seed counters start at 2**64 - 1
+    # and wrap at the range's first run.
+    @example(0, 0, 1)
+    @example(2**64, 0, 256)
+    @example(-5, 5, 2)
+    # One call seeded in three chunks, the last of one run, with the
+    # counter wrap in the second.
+    @example(2**64 - 300, 7, 2 * _RANGE_CHUNK + 1)
     def test_draws_match_stream_for_run(self, master, start, runs):
         # 130 draws cross the boundaries after the head (16) and the 16-,
         # 32- and 64-draw blocks: draws 16, 32, 64 and 128.
