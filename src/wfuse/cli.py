@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -156,13 +156,20 @@ def _write_rows(rows: Iterable[dict], fmt: str, handle) -> None:
         handle.writelines(_csv_lines(rows) if fmt == "csv" else _json_lines(rows))
 
 
+def _print_error(message) -> None:
+    """One ``wfuse: error:`` line on stderr.  When stderr cannot be written
+    the line is lost, but the exit code stays that of the error."""
+    with suppress(OSError):
+        print(f"wfuse: error: {message}", file=sys.stderr)
+
+
 def _usage_error(message: str) -> int:
-    print(f"wfuse: error: {message}", file=sys.stderr)
+    _print_error(message)
     return 2
 
 
 def _run_error(exc: RuntimeError) -> int:
-    print(f"wfuse: error: {exc}", file=sys.stderr)
+    _print_error(exc)
     return 1
 
 

@@ -686,6 +686,22 @@ class TestWriteErrors:
         assert done.returncode == 1
         assert done.stderr == b"wfuse: error: cannot write <stdout>: No space left on device\n"
 
+    @needs_dev_full
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["cost", "--strategy", "linear", "--target", "1"], 2),
+            (["cost", "--strategy", "linear", "--target", "3", "--out", DEV_FULL], 1),
+        ],
+        ids=["usage-error", "run-error"],
+    )
+    def test_full_stderr_keeps_exit_code(self, argv, code):
+        cmd = [sys.executable, "-m", "wfuse", *argv]
+        with open(DEV_FULL, "wb") as full:
+            done = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=full, env=module_env())
+        assert done.returncode == code
+        assert done.stdout == b""
+
     def test_closed_stdout_pipe_exits_one(self):
         # The table is 2.2 MB, far more than a pipe holds, so the command is
         # still writing when the reader goes.

@@ -7,6 +7,7 @@ import tracemalloc
 import weakref
 from array import array
 from fractions import Fraction
+from functools import cache
 from itertools import islice, product, repeat
 
 import pytest
@@ -22,6 +23,7 @@ from wfuse.fusion_model import (
     threshold53,
 )
 from wfuse.growth_costs import linear_recycled_costs, w3_linear_cost
+from wfuse.optimal import optimal_costs
 from wfuse.rng import (
     _GOLDEN,
     _LANE_STEP,
@@ -42,6 +44,8 @@ from wfuse.simulate import (
     _S1_SUCCESS,
     _RANGE_CAP,
     FusionStep,
+    _expected_draws,
+    _fusion_chain,
     RunResult,
     _sample_std,
     bucket_index,
@@ -598,6 +602,17 @@ class TestBatches:
         assert single.mean == single.min == single.max == costs[0]
 
 
+# The exact cost of the similar-sizes strategy at k = 5.
+K5_COST = Fraction(
+    38575897482162255236181558120136631576427493548116514564301787679363153447872754499131709693861569737283790424784,
+    12285300782348574747463305296169504152973672418518763536400898613717892459410038761980258441438132617188094311,
+)
+# Runs of each MC calibration batch (seed 2024), fixed before any was run:
+# about 2 s in all.
+CALIBRATION_RUNS = {0: 10**4, 1: 10**4, 2: 10**4, 3: 10**4, 4: 4000}
+oracle = cache(exact_expected_cost)
+
+
 class TestExactChainOracle:
     def test_k0_is_nine_halves(self):
         assert exact_expected_cost(0) == Fraction(9, 2)
@@ -612,14 +627,64 @@ class TestExactChainOracle:
         assert value == 76  # regression pin
         assert value > exact_expected_cost(1)
 
+    def test_k3_to_k5_values(self):
+        assert oracle(3) == Fraction(26316, 101)
+        assert oracle(4) == Fraction(69921554976498, 78742925225)
+        assert oracle(5) == K5_COST
+        assert len(str(K5_COST.denominator)) == 110
+        assert float(K5_COST) == pytest.approx(3140.0043161815, abs=1e-9)
+
     def test_large_k_rejected(self):
         with pytest.raises(ValueError):
-            exact_expected_cost(3)
+            exact_expected_cost(6)
 
-    @pytest.mark.parametrize("k", [0, 1])
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError):
+            exact_expected_cost(-1)
+
+    def test_at_most_two_states_per_bucket_through_k6(self):
+        # The bound the module docstring states, on every reachable
+        # fusion-time configuration: no solve, the k = 6 build takes about
+        # a second.
+        chain_sizes = []
+        for k in range(7):
+            _, states, transitions = _fusion_chain(k)
+            assert len(transitions) == len(states)
+            chain_sizes.append(len(states))
+            for buckets, xi in states:
+                assert len(buckets[xi]) >= 2
+                for level, sizes in enumerate(buckets):
+                    assert len(sizes) <= 2, (k, buckets)
+                    assert all(bucket_index(size) == level for size in sizes)
+        assert chain_sizes == [1, 3, 8, 32, 192, 1856, 32064]
+
+    def test_solution_satisfies_every_equation(self):
+        _, _, transitions = _fusion_chain(4)
+        costs = _expected_draws(transitions)
+        for cost, moves in zip(costs, transitions):
+            assert cost == sum(
+                p * (draws + (0 if j is None else costs[j])) for p, draws, j in moves
+            )
+
+    def test_transitions_are_distributions(self):
+        _, states, transitions = _fusion_chain(3)
+        for moves in transitions:
+            assert sum(p for p, _, _ in moves) == 1
+            assert all(j is None or 0 <= j < len(states) for _, _, j in moves)
+            assert all(draws == 0 for _, draws, j in moves if j is None)
+
+    def test_exact_costs_beat_the_optimal_tree(self):
+        # The exact form of acceptance criterion 08's inequality: the
+        # similar-sizes strategy costs less than the optimal non-recycling
+        # fusion tree for the same target size (ratios 0.915, 0.335, 0.070).
+        table = optimal_costs(65)
+        for k in range(3, 6):
+            assert oracle(k) < table.cost(2**k + 1)
+
+    @pytest.mark.parametrize("k", sorted(CALIBRATION_RUNS))
     def test_monte_carlo_agrees_with_oracle(self, k):
-        stats = simulate_batch(k, 10**4, 2024)
-        exact = float(exact_expected_cost(k))
+        stats = simulate_batch(k, CALIBRATION_RUNS[k], 2024)
+        exact = float(oracle(k))
         assert abs(stats.mean - exact) < 4 * stats.stderr
 
 
