@@ -12,9 +12,9 @@ library's additive index ``n = N - 2`` happens only here.  Every output is
 a pure function of the flag set, seeds included: rerunning a command
 reproduces it byte for byte.  Exit codes: 0 success, 1 verification
 failure, a Monte Carlo run over its step budget, a worker process that
-ended early or an output that could not be written (a full disk, a closed
-pipe), 2 usage error, an output path that cannot be opened for writing
-included.
+could not be started or that ended early, or an output that could not be
+written (a full disk, a closed pipe), 2 usage error, an output path that
+cannot be opened for writing included.
 """
 
 from __future__ import annotations

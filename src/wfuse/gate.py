@@ -5,12 +5,13 @@ works on explicit sparse state vectors over H/V polarization labels: a
 label string holds one character per photon, and a W state of N photons is
 the equal-amplitude superposition of the N weight-one labels.
 
-The gate takes one photon from each input state.  The photon taken from
-the second state passes a half-wave plate that swaps H and V; both photons
-then meet a polarizing beam splitter (V reflects, H transmits) and the two
-output ports are measured in the diagonal basis ``|D>, |Dbar> =
-(|H> +/- |V>)/sqrt(2)`` by detectors D1 (port 3) and D2 (port 4).  The
-combined routing, per input branch of the two consumed photons:
+The gate takes one photon from each input state, here always the last: a W
+state is symmetric under photon exchange, so the choice cannot matter.  The
+photon taken from the second state passes a half-wave plate that swaps H
+and V; both photons then meet a polarizing beam splitter (V reflects, H
+transmits) and the two output ports are measured in the diagonal basis
+``|D>, |Dbar> = (|H> +/- |V>)/sqrt(2)`` by detectors D1 (port 3) and D2
+(port 4).  The combined routing, per input branch of the two consumed photons:
 
 * ``H,H`` -> both photons exit in port 4: only D2 fires (recyclable);
 * ``V,V`` -> both photons exit in port 3: only D1 fires (failure);
@@ -25,14 +26,12 @@ Everything is exact.  A state holds rational amplitudes up to
 normalization (a W state puts amplitude 1 on each weight-one label), and
 every map the gate applies has integer coefficients, so each branch keeps
 integer amplitudes for W inputs.  Probabilities and fidelities are ratios
-of squared norms and squared overlaps, returned as ``Fraction`` values;
-only ``SparseState.amplitude`` and ``SparseState.amplitudes`` take a square
-root, to report normalized floats.
+of squared norms and squared overlaps, returned as ``Fraction`` values, and
+no value is ever normalized by a square root.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
 from numbers import Rational
@@ -99,24 +98,11 @@ class SparseState:
     def num_photons(self) -> int:
         return self._photons
 
-    @property
-    def amplitudes(self) -> Dict[str, float]:
-        """The normalized amplitudes, as floats."""
-        root = math.sqrt(self._norm2)
-        return {label: amp / root for label, amp in self._amps.items()}
-
-    def amplitude(self, label: str) -> float:
-        """The normalized amplitude of ``label``, as a float."""
-        return self._amps.get(label, 0) / math.sqrt(self._norm2)
-
     def __eq__(self, other) -> bool:
         # Equal nonempty maps share their labels, hence their photon count.
         if not isinstance(other, SparseState):
             return NotImplemented
         return self._amps == other._amps
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._amps.items()))
 
     def __repr__(self) -> str:
         return f"SparseState({self._photons} photons, {len(self._amps)} terms)"
@@ -153,14 +139,17 @@ def _post_state(amps: Amplitudes) -> Optional[SparseState]:
     return SparseState(amps) if any(amps.values()) else None
 
 
-def _split_on_photon(state: SparseState, index: int) -> Tuple[Amplitudes, Amplitudes]:
-    """Components with the given photon H resp. V, that photon removed."""
+def _split_last_photon(state: SparseState) -> Tuple[Amplitudes, Amplitudes]:
+    """Components with the last photon H resp. V, that photon removed.
+
+    Labels with the same last photon differ in the rest, so no two terms
+    of a component share a label.
+    """
     h_part: Amplitudes = {}
     v_part: Amplitudes = {}
     for label, amp in state._amps.items():
-        rest = label[:index] + label[index + 1 :]
-        part = h_part if label[index] == "H" else v_part
-        part[rest] = part.get(rest, 0) + amp
+        part = h_part if label[-1] == "H" else v_part
+        part[label[:-1]] = amp
     return h_part, v_part
 
 
@@ -202,17 +191,14 @@ class GateReport(
     __slots__ = ()
 
 
-def fuse(
-    a: SparseState,
-    b: SparseState,
-    qubit_a: Optional[int] = None,
-    qubit_b: Optional[int] = None,
-) -> GateReport:
-    """Apply the fusion gate to one photon of ``a`` and one of ``b``.
+def fuse(a: SparseState, b: SparseState) -> GateReport:
+    """Apply the fusion gate to the last photon of ``a`` and of ``b``.
 
-    ``qubit_a`` / ``qubit_b`` pick the consumed photons (default: the last
-    photon of each state).  Surviving photons keep their order, survivors
-    of ``a`` first, then survivors of ``b``.
+    Surviving photons keep their order, survivors of ``a`` first, then
+    survivors of ``b``.  A W state is symmetric under any exchange of its
+    photons, so for W inputs the choice of photon cannot matter; a caller
+    with another state can permute its labels first, so that the photon to
+    consume comes last.  A state without photons raises ``IndexError``.
 
     The joint input is decomposed over the four polarization branches of
     the consumed pair.  The V,V branch fires D1 alone (failure: for W
@@ -228,15 +214,8 @@ def fuse(
     """
     if a is b:
         raise ValueError("cannot fuse a state with itself")
-    qa = a.num_photons - 1 if qubit_a is None else qubit_a
-    qb = b.num_photons - 1 if qubit_b is None else qubit_b
-    if not 0 <= qa < a.num_photons:
-        raise IndexError(f"qubit_a {qa} out of range for {a.num_photons} photons")
-    if not 0 <= qb < b.num_photons:
-        raise IndexError(f"qubit_b {qb} out of range for {b.num_photons} photons")
-
-    a_h, a_v = _split_on_photon(a, qa)
-    b_h, b_v = _split_on_photon(b, qb)
+    a_h, a_v = _split_last_photon(a)
+    b_h, b_v = _split_last_photon(b)
 
     hh = _tensor(a_h, b_h)
     vv = _tensor(a_v, b_v)
@@ -311,10 +290,9 @@ def verify_probabilities(n_photons: int, m_photons: int) -> GateCheck:
     fidelity entries check the post-measurement states: the merged state
     against ``W_{N+M-2}``, each recycled part against the one-smaller W
     state (a single V photon for a Bell pair), and the failure remainder
-    against the all-H product.
+    against the all-H product.  A size below 2 raises ``ValueError`` from
+    :func:`make_w_state`.
     """
-    if n_photons < 2 or m_photons < 2:
-        raise ValueError("W states need at least 2 photons")
     report = fuse(make_w_state(n_photons), make_w_state(m_photons))
     analytic = dict(zip(BRANCHES, outcome_distribution(n_photons - 2, m_photons - 2)))
     simulated = dict(

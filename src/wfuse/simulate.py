@@ -316,7 +316,8 @@ def trace_similar_sizes(k: int, draws, *, max_steps: int = DEFAULT_STEP_BUDGET):
     this trace checks the edges and the bucket bookkeeping, not the law;
     the law is pinned by literal values in the fusion-model tests and by
     the gate's amplitude simulation.  ``draws`` is as for the kernel:
-    endless, or at least ``max_steps + 1`` draws long.  Given the same
+    endless, or at least ``max_steps + 1`` draws long; a shorter one that
+    runs out raises the budget error, as in the kernel.  Given the same
     draws it makes the same attempts and raises the same ``RuntimeError``
     at the same step budget, checked before every attempt.
     """
@@ -334,7 +335,10 @@ def trace_similar_sizes(k: int, draws, *, max_steps: int = DEFAULT_STEP_BUDGET):
         n = sets[xi].pop(0)
         m = sets[xi].pop(0)
         attempts += 1
-        branch = classify_uniform(n, m, next(draws) * 2.0**-53)
+        draw = next(draws, None)
+        if draw is None:
+            raise _budget_error(max_steps, k)
+        branch = classify_uniform(n, m, draw * 2.0**-53)
         final, xi = _apply_branch(sets, xi, n, m, branch, k)
         yield FusionStep(level, n, m, branch, cost, tuple(map(tuple, sets)), final)
         if final is not None:
@@ -480,20 +484,25 @@ def _forked_parts(k, master_seed, runs, step, workers):
     worker's ``RuntimeError`` is raised here with the same message, and a
     pipe that ends before the worker's last part, or a worker that exits
     with a nonzero status, raises a ``RuntimeError`` naming that status.
-    Every worker is reaped before the generator ends.  When it ends by an
-    error, or is closed before its last part, the workers are killed first.
+    A pipe or fork that fails raises a ``RuntimeError`` that says a worker
+    could not be started.  Every worker is reaped before the generator
+    ends.  When it ends by an error, or is closed before its last part, the
+    workers are killed first.
     """
     pipes, pids = [], []
     try:
         for w in range(workers):
-            read_fd, write_fd = os.pipe()
-            pipes.append(open(read_fd, "rb"))
             try:
-                pid = os.fork()
-                if not pid:
-                    _make_parts(_ranges(k, master_seed, runs, step, w, workers), write_fd)
-            finally:
-                os.close(write_fd)  # only the parent gets here
+                read_fd, write_fd = os.pipe()
+                pipes.append(open(read_fd, "rb"))
+                try:
+                    pid = os.fork()
+                    if not pid:
+                        _make_parts(_ranges(k, master_seed, runs, step, w, workers), write_fd)
+                finally:
+                    os.close(write_fd)  # only the parent gets here
+            except OSError as exc:
+                raise RuntimeError(f"cannot start a worker process: {exc.strerror}") from exc
             pids.append(pid)
         for i in range(len(range(0, runs, step))):
             part = _read_part(pipes[i % workers])
@@ -549,6 +558,8 @@ def simulate_batch(
     final sizes, starting at the run after the previous part's last.  The
     per-run values reach the caller only this way.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     # A worker beyond the run count would have no range to make.

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import itertools
 import json
@@ -379,6 +380,44 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "wfuse: error: a worker process ended early with exit status 0\n"
+        assert not dump.exists() and not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "figure4"])
+    @pytest.mark.parametrize(
+        "function, failing_call, error",
+        [
+            pytest.param("fork", 0, errno.EAGAIN, id="first-fork"),
+            pytest.param("fork", 1, errno.EAGAIN, id="second-fork"),
+            pytest.param("pipe", 1, errno.EMFILE, id="second-pipe"),
+        ],
+    )
+    def test_worker_that_cannot_start_exits_one(
+        self, capsys, monkeypatch, tmp_path, command, function, failing_call, error
+    ):
+        # The call fails at once, or after one worker has started, which
+        # must then be killed and reaped (the no_child_process_left fixture).
+        real = getattr(os, function)
+        calls = itertools.count()
+
+        def fail_once(*args):
+            if next(calls) == failing_call:
+                raise OSError(error, os.strerror(error))
+            return real(*args)
+
+        monkeypatch.setattr(os, function, fail_once)
+        allow_cpus(monkeypatch, 2)
+        dump, out = tmp_path / "runs.csv", tmp_path / "row.csv"
+        if command == "simulate":
+            argv = ["simulate", "--k", "0", "--dump-runs", str(dump)]
+        else:
+            argv = ["figure4", "--max-k", "1"]
+        argv += ["--runs", "100", "--seed", "1", "--workers", "2", "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"wfuse: error: cannot start a worker process: {os.strerror(error)}\n"
+        )
         assert not dump.exists() and not out.exists()
 
     def test_dump_memory_stays_flat(self, tmp_path, constant_runs):

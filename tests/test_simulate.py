@@ -336,6 +336,13 @@ class TestSimilarSizesRuns:
         with pytest.raises(ValueError):
             next(trace_similar_sizes(-1, SplitMix64(0)))
 
+    def test_trace_raises_the_budget_error_when_the_draws_run_out(self):
+        # Five draws of 1/2 end no run at k = 2.
+        draws = [2**52] * 5
+        message = budget_message(2, DEFAULT_STEP_BUDGET)
+        assert run_or_error(run_similar_sizes, 2, draws, DEFAULT_STEP_BUDGET) == message
+        assert run_or_error(run_reference, 2, draws, DEFAULT_STEP_BUDGET) == message
+
 
 def assert_invariants_and_kernel(k, stream):
     """Check one run's trace step by step, then the kernel against it.
@@ -586,6 +593,11 @@ class TestBatches:
     def test_rejects_no_runs(self):
         with pytest.raises(ValueError):
             simulate_batch(0, 0, 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rejects_negative_k_before_any_worker_starts(self, workers):
+        with pytest.raises(ValueError, match="^k must be >= 0, got -1$"):
+            simulate_batch(-1, 100, 0, workers=workers)
 
     def test_moments_from_integer_sums_match_statistics(self):
         rng = random.Random(3)
