@@ -23,8 +23,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager, nullcontext, suppress
-from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .growth_costs import (
     exponential_cost,
@@ -37,6 +36,11 @@ from .growth_costs import (
 from .optimal import optimal_costs
 from .gate import verify_probabilities
 from .simulate import simulate_batch
+
+# For annotations only: the layers import Fraction where they build one,
+# so that `simulate` never loads fractions and decimal.
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _FLOAT_FMT = ".17g"
 # Largest stage k that `simulate --k` and `figure4 --max-k` accept: the
@@ -51,10 +55,10 @@ _MAX_K = 8
 _MAX_TARGET = 10_000
 # Rows of a `simulate --dump-runs` file rendered by one format operation.
 # The dump is written one batch part at a time, and each part in chunks of
-# this many rows: a chunk's 12,288 cells, their tuple, the format string
-# and the text peak at about 0.4 MiB of allocations (tracemalloc, 100k
-# runs).
-_DUMP_CHUNK = 4096
+# this many rows: a chunk's 3,072 cells, their tuple, the format string and
+# the text peak at about 0.1 MiB of allocations (tracemalloc, k = 1,
+# 100k runs; 0.4 MiB at 4,096 rows).
+_DUMP_CHUNK = 1024
 _WORKERS_HELP = (
     "worker processes, at most the number of CPUs (default 1); "
     "the output does not depend on it"

@@ -30,7 +30,6 @@ states is applied in :mod:`wfuse.simulate`.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 __all__ = [
     "SUCCESS",
@@ -83,6 +82,8 @@ class OutcomeDistribution(
 
 def outcome_distribution(n: int, m: int) -> OutcomeDistribution:
     """Exact (P_s, P_r, P_f) for fusing ``w_n`` with ``w_m``."""
+    from fractions import Fraction  # only here: the Monte Carlo kernel uses integer edges
+
     s, r, denom = _weights(n, m)
     return OutcomeDistribution(Fraction(s, denom), Fraction(r, denom), Fraction(1, denom))
 

@@ -33,11 +33,16 @@ no value is ever normalized by a square root.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
-from numbers import Rational
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .fusion_model import BRANCHES, outcome_distribution
+
+# The functions that need them import Fraction and Rational themselves, so
+# that a process that builds no rational, such as `wfuse simulate`, never
+# loads fractions, decimal and numbers.
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from numbers import Rational
 
 __all__ = [
     "SparseState",
@@ -57,7 +62,7 @@ D1_ONLY = "d1_only"
 D2_ONLY = "d2_only"
 COINCIDENCE_PATTERNS = ("dd", "dbar_dbar", "d_dbar", "dbar_d")
 
-Amplitudes = Dict[str, Rational]
+Amplitudes = Dict[str, "Rational"]
 
 
 class SparseState:
@@ -71,6 +76,8 @@ class SparseState:
     __slots__ = ("_amps", "_photons", "_norm2")
 
     def __init__(self, amplitudes: Amplitudes):
+        from numbers import Rational
+
         cleaned = {}
         length = None
         for label, amp in amplitudes.items():
@@ -110,6 +117,8 @@ class SparseState:
 
 def fidelity(x: SparseState, y: SparseState) -> Fraction:
     """Squared overlap ``<x|y>^2 / (|x|^2 |y|^2)``, exactly, in [0, 1]."""
+    from fractions import Fraction
+
     if x._photons != y._photons:
         raise ValueError(f"photon counts differ: {x._photons} vs {y._photons}")
     overlap = sum(
@@ -212,6 +221,8 @@ def fuse(a: SparseState, b: SparseState) -> GateReport:
     mixed patterns the antisymmetric one.  Each pattern projects with
     amplitude 1/2, hence the factor 4 in their probabilities.
     """
+    from fractions import Fraction
+
     if a is b:
         raise ValueError("cannot fuse a state with itself")
     a_h, a_v = _split_last_photon(a)

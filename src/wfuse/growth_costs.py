@@ -22,8 +22,12 @@ The optimal non-recycling strategy lives in :mod:`wfuse.optimal`.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
+
+# Every function imports Fraction itself, so that a process that builds no
+# rational, such as `wfuse simulate`, never loads fractions and decimal.
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "LinearGrowthParams",
@@ -44,6 +48,8 @@ def compose_cost(cost_a, cost_b, n: int, m: int) -> Fraction:
     expected cost is ``(cost_a + cost_b) / P_s(w_n, w_m)``, i.e.
     ``(n+2)(m+2)(cost_a + cost_b) / (n+m+2)``.
     """
+    from fractions import Fraction
+
     cost_a = Fraction(cost_a)
     cost_b = Fraction(cost_b)
     if cost_a <= 0 or cost_b <= 0:
@@ -66,8 +72,8 @@ class LinearGrowthParams(namedtuple("LinearGrowthParams", "m n k")):
 
 def linear_growth_cost(
     params: LinearGrowthParams,
-    seed_cost=Fraction(1),
-    increment_cost=Fraction(1),
+    seed_cost=1,
+    increment_cost=1,
 ) -> Fraction:
     """Exact cost ``R[w_{m+kn}]`` of k-level linear growth without recycling.
 
@@ -81,6 +87,8 @@ def linear_growth_cost(
     ``seed_cost`` and ``increment_cost`` are the (caller-supplied) costs of
     ``w_m`` and ``w_n``.
     """
+    from fractions import Fraction
+
     m, n, k = params.m, params.n, params.k
     seed_cost = Fraction(seed_cost)
     increment_cost = Fraction(increment_cost)
@@ -98,6 +106,8 @@ def w3_linear_cost(target: int) -> Fraction:
     Closed form ``((11/4) 3^N - (3/2) N - 15/4) / (N+2)`` for ``N >= 1``;
     the cost grows like ``O(3^N)``.
     """
+    from fractions import Fraction
+
     if target < 1:
         raise ValueError(f"target index must be >= 1, got {target}")
     numerator = Fraction(11, 4) * 3**target - Fraction(3, 2) * target - Fraction(15, 4)
@@ -111,6 +121,8 @@ def iter_linear_recycled_costs(max_m: int) -> Iterator[Fraction]:
     Only the last two terms of the recurrence are held, so a caller that
     writes each cost out as it comes never has the whole table in memory.
     """
+    from fractions import Fraction
+
     if max_m < 2:
         raise ValueError(f"max_m must be >= 2, got {max_m}")
     prev, r = 0, 3
@@ -149,6 +161,8 @@ def linear_recycled_costs(max_m: int) -> list[Fraction]:
     :func:`iter_linear_recycled_costs`, which yields the same costs one at
     a time; this list is ``[0, *iter_linear_recycled_costs(max_m)]``.
     """
+    from fractions import Fraction
+
     return [Fraction(0), *iter_linear_recycled_costs(max_m)]
 
 
@@ -162,6 +176,8 @@ def exponential_cost(k: int) -> Fraction:
     from ``R[w_1] = 1``.  This recurrence is the source of truth; the
     :func:`gamma` closed form is its cross-check.
     """
+    from fractions import Fraction
+
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     cost = Fraction(1)
@@ -186,6 +202,8 @@ def gamma(k: int) -> Fraction:
     that the form above passes exactly: ``R[w_2] = 9/2``, ``R[w_4] = 24``,
     and the 21.458... limit.  See README for the derivation.
     """
+    from fractions import Fraction
+
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     product = Fraction(3, 2)

@@ -36,9 +36,15 @@ never gets to.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .growth_costs import compose_cost
+
+# The functions that build a rational import Fraction themselves, so that a
+# process that builds none, such as `wfuse simulate`, never loads fractions
+# and decimal.
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["CostEntry", "CostTable", "FusionTree", "optimal_costs", "optimal_plan"]
 
@@ -82,6 +88,8 @@ def optimal_costs(max_n: int) -> CostTable:
     screened in floating point and confirmed exactly (module docstring);
     the table is the exact minimum all the same.
     """
+    from fractions import Fraction
+
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     entries = {1: CostEntry(Fraction(1), None)}
@@ -123,6 +131,8 @@ class FusionTree(
 
     def cost(self) -> Fraction:
         """Composed bottom-up cost of executing this plan."""
+        from fractions import Fraction
+
         if self.is_leaf:
             return Fraction(1)
         return compose_cost(

@@ -45,7 +45,9 @@ standard deviation come from the exact sums.  A range's draws come from
 first blocks together, as many runs at a time as it chooses.  With several
 workers the ranges are made by forked child processes, which stream their
 parts back over pipes (POSIX only; elsewhere the batch runs in this
-process).
+process).  The Monte Carlo path builds no rational: only the exact
+oracle imports :mod:`fractions`, when it is called, so a process that
+only simulates never loads it or :mod:`decimal`.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ import sys
 from array import array
 from collections import namedtuple
 from contextlib import closing
-from fractions import Fraction
 from functools import cache
 from itertools import islice
 from operator import mul
@@ -71,6 +72,12 @@ from .fusion_model import (
 )
 from .rng import draws_for_range
 
+# For annotations only.  The constant stands in for typing.TYPE_CHECKING,
+# so that `import wfuse.simulate` loads neither fractions nor typing.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 __all__ = [
     "RunResult",
     "BatchStats",
@@ -84,10 +91,12 @@ __all__ = [
 
 DEFAULT_STEP_BUDGET = 10**9
 # Most runs in one range of a batch.  A range's part is two arrays of 8
-# bytes per run, so a batch holds a few of them (256 KiB each) whatever its
-# run count.  With several workers, ranges are smaller below
-# 8 * workers * _RANGE_CAP runs, so that each worker makes about eight.
-_RANGE_CAP = 2**14
+# bytes per run, so a batch holds a few of them (16 KiB each) whatever its
+# run count, and a forked worker writes a part as an 8-byte count and
+# 32 KiB, half a Linux pipe buffer.  With several workers, ranges are
+# smaller below 8 * workers * _RANGE_CAP runs, so that each worker makes
+# about eight.
+_RANGE_CAP = 2**11
 
 
 def bucket_index(size: int) -> int:
@@ -656,6 +665,8 @@ def _expected_draws(transitions) -> list[Fraction]:
     """Each chain state's expected ``w_1`` draws until the run ends: the
     solution of ``E_i = sum over its transitions of p * (draws + E_j)``,
     with ``E_j = 0`` when the branch ends the run."""
+    from fractions import Fraction  # only here (module docstring)
+
     rows = [{i: Fraction(1)} for i in range(len(transitions))]
     for row, moves in zip(rows, transitions):
         for p, _, j in moves:

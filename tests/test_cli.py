@@ -285,25 +285,39 @@ class TestSimulateCommand:
                 "final_N": str(result.final_size + 2),
             }
 
-    def test_dump_across_render_chunks_replays_stream_for_run(self, capsys, tmp_path):
-        # Two full render chunks and a one-row tail, with 1 and 2 workers.
-        runs = 2 * wfuse.cli._DUMP_CHUNK + 1
+    @staticmethod
+    def assert_dumps_replay_stream_for_run(capsys, monkeypatch, tmp_path, runs, seed):
+        """The `--dump-runs` files of ``runs`` k = 0 runs, made with 1 and 2
+        workers, both hold every run's replay through stream_for_run."""
+        allow_cpus(monkeypatch, 2)
         dumps = []
         for workers in ("1", "2"):
             path = tmp_path / f"runs{workers}.csv"
             code, _ = run_cli(
                 capsys,
-                "simulate", "--k", "0", "--runs", str(runs), "--seed", "31",
+                "simulate", "--k", "0", "--runs", str(runs), "--seed", str(seed),
                 "--workers", workers, "--dump-runs", str(path),
             )
             assert code == 0
             dumps.append(path.read_bytes())
         expected = ["run,cost,final_N\n"]
         for i in range(runs):
-            result = run_similar_sizes(0, stream_for_run(31, i))
+            result = run_similar_sizes(0, stream_for_run(seed, i))
             expected.append(f"{i},{result.cost},{result.final_size + 2}\n")
         assert dumps[0] == "".join(expected).encode()
         assert dumps[1] == dumps[0]
+
+    def test_dump_across_render_chunks_replays_stream_for_run(self, capsys, monkeypatch, tmp_path):
+        # Two full render chunks and a one-row tail, with 1 and 2 workers.
+        runs = 2 * wfuse.cli._DUMP_CHUNK + 1
+        self.assert_dumps_replay_stream_for_run(capsys, monkeypatch, tmp_path, runs, 31)
+
+    def test_dump_across_batch_parts_replays_stream_for_run(self, capsys, monkeypatch, tmp_path):
+        # Two full ranges and a 3-run tail: at 1 worker two parts of
+        # _RANGE_CAP runs, each rendered in several chunks, and the tail;
+        # at 2 workers 15 parts of 257 runs and one of 244.
+        runs = 2 * wfuse.simulate._RANGE_CAP + 3
+        self.assert_dumps_replay_stream_for_run(capsys, monkeypatch, tmp_path, runs, 43)
 
     @pytest.mark.parametrize("command", ["simulate", "figure4"])
     def test_step_budget_overrun_exits_one(self, capsys, monkeypatch, tmp_path, command):
@@ -806,3 +820,45 @@ class TestStartup:
         added = self.modules_added_by("from wfuse.simulate import exact_expected_cost")
         assert "wfuse.fusion_model" in added
         assert not added & {"wfuse.gate", "wfuse.optimal", "wfuse.growth_costs"}
+
+    # Rational arithmetic: fractions and the modules it loads.
+    RATIONALS = {"fractions", "decimal", "numbers"}
+
+    def test_cli_import_loads_every_layer_but_no_rationals(self):
+        added = self.modules_added_by("import wfuse.cli")
+        layers = ("fusion_model", "gate", "growth_costs", "optimal", "rng", "simulate")
+        assert {f"wfuse.{layer}" for layer in layers} <= added
+        assert not added & self.RATIONALS
+        # The layer calls the benchmark's tracer times through wfuse.cli.
+        for name in (
+            "optimal_costs", "linear_recycled_costs", "w3_linear_cost",
+            "exponential_cost", "verify_probabilities", "simulate_batch",
+        ):
+            assert callable(getattr(wfuse.cli, name)), name
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_simulate_loads_no_rationals(self, tmp_path, workers, fmt):
+        # Two CPUs in the mask, so that --workers 2 forks on any host.
+        dump = tmp_path / "runs.csv"
+        added = self.modules_added_by(
+            "import os\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from wfuse.cli import main\n"
+            "code = main(['simulate', '--k', '1', '--runs', '200', '--seed', '5',"
+            f" '--workers', {workers!r}, '--format', {fmt!r},"
+            f" '--dump-runs', {str(dump)!r}, '--out', os.devnull])\n"
+            "assert code == 0"
+        )
+        assert "wfuse.simulate" in added
+        assert len(dump.read_text().splitlines()) == 201
+        assert not added & self.RATIONALS
+
+    def test_exact_oracle_loads_fractions(self):
+        # The control of the two tests above: a process that builds a
+        # rational loads fractions.
+        added = self.modules_added_by(
+            "from wfuse.simulate import exact_expected_cost\n"
+            "assert exact_expected_cost(2) == 76"
+        )
+        assert "fractions" in added

@@ -525,6 +525,14 @@ class TestBatches:
         assert batch[2] == [forked[i % 2] for i in range(40) for _ in range(5)]
         assert batch[1] == costs[:200] and batch[3] == [5] * 40
 
+    def test_worker_parts_reach_the_cap_and_no_further(self):
+        # 16 * _RANGE_CAP + 5 runs at 2 workers: about eight ranges per
+        # worker would be _RANGE_CAP + 1 runs each, so the cap sets them.
+        runs = 16 * _RANGE_CAP + 5
+        stats, costs, sizes, lengths = run_batch(0, runs, 23, workers=2)
+        assert lengths == [_RANGE_CAP] * 16 + [5]
+        assert (stats, costs, sizes) == run_batch(0, runs, 23, workers=1)[:3]
+
     def test_an_error_kills_the_workers_before_their_other_ranges(self, monkeypatch, tmp_path):
         # Range 0 fails at once.  Worker 1's ranges append a byte per run to
         # a file, at 2 ms a run: left to finish, it would write 800.
@@ -570,8 +578,10 @@ class TestBatches:
 
     def test_memory_does_not_grow_with_runs(self, constant_runs):
         # At the parent of the fold, which joined every part, this read
-        # 1.07 MB at 4 * _RANGE_CAP runs and 2.21 MB at 8 * _RANGE_CAP
-        # (1.01 MiB at 2**15 runs and 2.44 MiB at 2**17 with real runs).
+        # 1.07 MB at 2**16 runs and 2.21 MB at 2**17, then 4 and 8 times a
+        # cap of 2**14 (1.01 MiB at 2**15 runs and 2.44 MiB at 2**17 with
+        # real runs).  With the fold it reads 265 kB at both sizes at that
+        # cap, and 35 kB at a cap of 2**11.
         simulate_batch(0, 2, 5, on_part=discard)  # lazy set-up outside the trace
         peaks = [
             traced_peak(simulate_batch, 0, scale * _RANGE_CAP, 5, on_part=discard)
