@@ -47,11 +47,12 @@ _FLOAT_FMT = ".17g"
 # expected cost of a run grows about 3.6x per stage.
 _MAX_K = 8
 # Largest actual size N that `cost --target` accepts.  At the bound the
-# optimal table takes 7 to 10 s (shared 2-core host) and the linear table
-# writes 24 MB (25 MB as JSON); the linear table's size grows quadratically
-# in N.  Tables are written row by row, so memory does not grow with the
-# text: at the bound every table peaks at about 15 MB of resident memory in
-# CSV and JSON, the optimal one at 18 MB, whose DP table is held whole.
+# optimal table takes 5 to 8 s (shared 2-core host, CPython 3.11) and the
+# linear table writes 24 MB (25 MB as JSON); the linear table's size grows
+# quadratically in N.  Tables are written row by row, so memory does not
+# grow with the text: at the bound every table peaks at about 15 MB of
+# resident memory in CSV and JSON, the optimal one at 19 MB, whose DP table
+# is held whole.
 _MAX_TARGET = 10_000
 # Rows of a `simulate --dump-runs` file rendered by one format operation.
 # The dump is written one batch part at a time, and each part in chunks of
@@ -292,11 +293,14 @@ def _cmd_simulate(args) -> int:
         return _usage_error(f"--runs must be >= 1, got {args.runs}")
     if args.workers < 1:
         return _usage_error(f"--workers must be >= 1, got {args.workers}")
-    if args.out and args.dump_runs and (
-        os.path.realpath(args.out) == os.path.realpath(args.dump_runs)
-    ):
-        # Both are open at once below, and would overwrite each other.
-        return _usage_error("--out and --dump-runs must be different files")
+    if args.out and args.dump_runs:
+        path = os.path.realpath(args.out)
+        # Both are open at once below, and two handles on one file would
+        # overwrite each other; two on a device such as /dev/null cannot.
+        if path == os.path.realpath(args.dump_runs) and (
+            os.path.isfile(path) or not os.path.exists(path)
+        ):
+            return _usage_error("--out and --dump-runs must be different files")
     # Both paths are opened before the batch, --out first, so an unwritable
     # --out leaves no dump behind (an unwritable dump path leaves --out
     # empty).  The dump is written part by part as the batch makes it, and

@@ -267,6 +267,37 @@ class TestSimulateCommand:
         )
         assert not path.exists()
 
+    @pytest.mark.parametrize("via_symlink", [False, True])
+    def test_out_and_dump_on_one_existing_file_is_usage_error(
+        self, capsys, tmp_path, via_symlink
+    ):
+        path = tmp_path / "both.csv"
+        path.write_text("kept\n")
+        other = path
+        if via_symlink:
+            other = tmp_path / "link.csv"
+            other.symlink_to(path)
+        argv = [
+            "simulate", "--k", "0", "--runs", "3", "--seed", "1",
+            "--dump-runs", str(path), "--out", str(other),
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "wfuse: error: --out and --dump-runs must be different files\n"
+        )
+        assert path.read_text() == "kept\n"
+
+    def test_out_and_dump_on_one_device(self, capsys):
+        argv = [
+            "simulate", "--k", "0", "--runs", "3", "--seed", "1",
+            "--dump-runs", os.devnull, "--out", os.devnull,
+        ]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == ""
+
     def test_negative_seed_dump_replays_stream_for_run(self, capsys, tmp_path):
         path = tmp_path / "runs.csv"
         code, _ = run_cli(

@@ -6,6 +6,12 @@ from wfuse.growth_costs import compose_cost, exponential_cost, gamma
 from wfuse.optimal import CostEntry, FusionTree, optimal_costs, optimal_plan
 
 
+@pytest.fixture(scope="module")
+def table_2048():
+    """One table shared by the tests that read large indices."""
+    return optimal_costs(2048)
+
+
 def reference_entries(max_n):
     """The full exact DP: every split costed with Fraction arithmetic."""
     entries = {1: CostEntry(Fraction(1), None)}
@@ -65,10 +71,14 @@ class TestOptimalCosts:
         for n in range(2, 65):
             assert table.cost(n) >= table.cost(n - 1)
 
-    def test_power_of_two_coincides_with_doubling(self):
-        table = optimal_costs(64)
-        for k in range(0, 7):
-            assert table.cost(2**k) == exponential_cost(k)
+    def test_power_of_two_coincides_with_doubling(self, table_2048):
+        for k in range(0, 12):
+            assert table_2048.cost(2**k) == exponential_cost(k)
+
+    def test_normalized_costs_are_integers(self, table_2048):
+        # (n + 2) * R_opt(n) is the integer a(n) of the module's recurrence
+        for n in range(1, 2049):
+            assert ((n + 2) * table_2048.cost(n)).denominator == 1
 
     def test_subexponential_bound(self):
         table = optimal_costs(64)
@@ -88,15 +98,14 @@ class TestOptimalCosts:
             achievable = brute_force_tree_costs(n, cache)
             assert min(achievable) == table.cost(n)
 
-    def test_screened_dp_equals_full_exact_dp(self):
+    def test_integer_dp_equals_fraction_dp(self):
         assert optimal_costs(300).entries == reference_entries(300)
 
-    def test_balanced_split_observed_up_to_2000(self):
+    def test_balanced_split_observed_up_to_2048(self, table_2048):
         # Observed, not proven: the DP's minimizing split is n // 2 for
-        # every n up to 2000.
-        table = optimal_costs(2000)
-        assert [table[n].best_split for n in range(2, 2001)] == [
-            n // 2 for n in range(2, 2001)
+        # every n up to 2048.
+        assert [table_2048[n].best_split for n in range(2, 2049)] == [
+            n // 2 for n in range(2, 2049)
         ]
 
     def test_range_checks(self):
