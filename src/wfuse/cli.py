@@ -23,36 +23,34 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager, nullcontext, suppress
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from math import gcd
+from typing import Iterable, Iterator, Optional
 
+# The commands tabulate the integer forms, the normalized costs
+# a(n) = (n+2) R(n), so that `cost` and `figure4` never build a Fraction and
+# never load fractions and decimal.  They keep the names of the Fraction
+# functions because the benchmark's tracer (perfbench/tracing.py) times the
+# layer calls made through these four names of ``wfuse.cli``.
 from .growth_costs import (
-    exponential_cost,
-    # The commands only iterate over it.  It keeps the name of the list
-    # function because the benchmark's tracer (perfbench/tracing.py) times
-    # the layer calls made through ``wfuse.cli.linear_recycled_costs``.
-    iter_linear_recycled_costs as linear_recycled_costs,
-    w3_linear_cost,
+    exponential_normalized_cost as exponential_cost,
+    iter_linear_recycled_normalized_costs as linear_recycled_costs,
+    w3_linear_normalized_cost as w3_linear_cost,
 )
-from .optimal import optimal_costs
+from .optimal import optimal_normalized_costs as optimal_costs
 from .gate import verify_probabilities
 from .simulate import simulate_batch
-
-# For annotations only: the layers import Fraction where they build one,
-# so that `simulate` never loads fractions and decimal.
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 _FLOAT_FMT = ".17g"
 # Largest stage k that `simulate --k` and `figure4 --max-k` accept: the
 # expected cost of a run grows about 3.6x per stage.
 _MAX_K = 8
 # Largest actual size N that `cost --target` accepts.  At the bound the
-# optimal table takes 5 to 8 s (shared 2-core host, CPython 3.11) and the
-# linear table writes 24 MB (25 MB as JSON); the linear table's size grows
-# quadratically in N.  Tables are written row by row, so memory does not
-# grow with the text: at the bound every table peaks at about 15 MB of
-# resident memory in CSV and JSON, the optimal one at 19 MB, whose DP table
-# is held whole.
+# optimal table takes 4.5 to 6.5 s (shared 2-core host, CPython 3.11) and
+# the linear table writes 24 MB (25 MB as JSON); the linear table's size
+# grows quadratically in N.  Tables are written row by row from the
+# integer forms, so memory does not grow with the text: at the bound every
+# table peaks at about 15.5 MB of resident memory in CSV and JSON, the
+# optimal one at 16.5 MB, whose DP list of normalized costs is held whole.
 _MAX_TARGET = 10_000
 # Rows of a `simulate --dump-runs` file rendered by one format operation.
 # The dump is written one batch part at a time, and each part in chunks of
@@ -119,8 +117,9 @@ def _writing(handle):
 @contextmanager
 def _output(path: Optional[str]):
     """An open handle on ``path``, or stdout when ``path`` is None, flushed
-    or closed on leaving."""
-    if not path:
+    or closed on leaving.  An empty path cannot be opened, like any other
+    path that names no file."""
+    if path is None:
         yield sys.stdout
         with _writing(sys.stdout):
             sys.stdout.flush()
@@ -131,6 +130,14 @@ def _output(path: Optional[str]):
     finally:
         with _writing(handle):
             handle.close()
+
+
+def _remove_regular_files(*paths: Optional[str]) -> None:
+    """Remove each of ``paths`` that names a regular file, never a device
+    such as /dev/null."""
+    for path in paths:
+        if path and os.path.isfile(path):
+            os.remove(path)
 
 
 def _json_lines(rows: Iterable[dict]) -> Iterator[str]:
@@ -154,7 +161,7 @@ def _write_rows(rows: Iterable[dict], fmt: str, handle) -> None:
 
     Both formats are written row by row as ``rows`` yields them, so a
     generator of rows never has the whole table in memory: the 24 MB linear
-    table of ``cost --target 10000`` peaks at about 15 MB of resident memory
+    table of ``cost --target 10000`` peaks at about 15.5 MB of resident memory
     in CSV and in JSON (27 and 116 MB when it was built whole first).
     """
     with _writing(handle):
@@ -193,26 +200,39 @@ def _worker_processes(requested: int) -> int:
     return min(requested, cpus)
 
 
-def _float_cell(value: Fraction) -> Optional[float]:
-    """``float(value)``, or ``None`` (an empty cell) beyond the float range."""
+def _exact_cells(a: int, den: int) -> tuple[str, str, Optional[float]]:
+    """The cells of the cost ``a / den``: its numerator and denominator in
+    lowest terms, and its float, or None (an empty cell) beyond the float
+    range.
+
+    Int true division rounds correctly, so the float is that of the
+    ``Fraction`` and overflows where it does.
+    """
+    divisor = gcd(a, den)
     try:
-        return float(value)
+        value = a / den
     except OverflowError:
-        return None
+        value = None
+    return str(a // divisor), str(den // divisor), value
 
 
-def _rational_cells(prefix: str, value: Optional[Fraction]) -> dict:
-    if value is None:
-        return {
-            f"{prefix}_num": None,
-            f"{prefix}_den": None,
-            f"{prefix}_float": None,
+def _rational_cells(prefix: str, a: Optional[int], den: int) -> dict:
+    """The num, den and float cells of ``a / den``, all None when ``a`` is."""
+    cells = (None, None, None) if a is None else _exact_cells(a, den)
+    return dict(zip((f"{prefix}_num", f"{prefix}_den", f"{prefix}_float"), cells))
+
+
+def _cost_rows(strategy: str, pairs) -> Iterator[dict]:
+    """The rows of `cost` from (index n, normalized cost a(n)) pairs."""
+    for n, a in pairs:
+        num, den, value = _exact_cells(a, n + 2)
+        yield {
+            "N": n + 2,
+            "strategy": strategy,
+            "cost_exact_num": num,
+            "cost_exact_den": den,
+            "cost_float": value,
         }
-    return {
-        f"{prefix}_num": str(value.numerator),
-        f"{prefix}_den": str(value.denominator),
-        f"{prefix}_float": _float_cell(value),
-    }
 
 
 def _cmd_cost(args) -> int:
@@ -222,35 +242,26 @@ def _cmd_cost(args) -> int:
             f"--target must be an actual size in 3..{_MAX_TARGET}, got {target}"
         )
     n_max = target - 2
-    # (index, cost) pairs, made as the rows are written.
-    indices = range(1, n_max + 1)
-    if args.strategy == "linear":
-        pairs = ((n, w3_linear_cost(n)) for n in indices)
-    elif args.strategy == "linear-recycled":
-        pairs = zip(indices, linear_recycled_costs(max(2, n_max)))
-    elif args.strategy == "optimal":
-        table = optimal_costs(n_max)
-        pairs = ((n, table.cost(n)) for n in indices)
-    else:
-        if n_max & (n_max - 1):
-            return _usage_error(
-                "exponential growth reaches only sizes with N - 2 a power "
-                f"of two; N = {target} is not one"
-            )
-        stages = n_max.bit_length() - 1
-        pairs = ((2**level, exponential_cost(level)) for level in range(stages + 1))
-    rows = (
-        {
-            "N": n + 2,
-            "strategy": args.strategy,
-            "cost_exact_num": str(cost.numerator),
-            "cost_exact_den": str(cost.denominator),
-            "cost_float": _float_cell(cost),
-        }
-        for n, cost in pairs
-    )
+    if args.strategy == "exponential" and n_max & (n_max - 1):
+        return _usage_error(
+            "exponential growth reaches only sizes with N - 2 a power "
+            f"of two; N = {target} is not one"
+        )
+    # --out is opened before any cost is computed, so that an unwritable
+    # path fails at once.
     with _output(args.out) as handle:
-        _write_rows(rows, args.format, handle)
+        # (index, normalized cost) pairs, made as the rows are written.
+        indices = range(1, n_max + 1)
+        if args.strategy == "linear":
+            pairs = ((n, w3_linear_cost(n)) for n in indices)
+        elif args.strategy == "linear-recycled":
+            pairs = zip(indices, linear_recycled_costs(max(2, n_max)))
+        elif args.strategy == "optimal":
+            pairs = zip(indices, optimal_costs(n_max)[0][1:])
+        else:
+            levels = range(n_max.bit_length())
+            pairs = ((2**level, exponential_cost(level)) for level in levels)
+        _write_rows(_cost_rows(args.strategy, pairs), args.format, handle)
     return 0
 
 
@@ -308,7 +319,7 @@ def _cmd_simulate(args) -> int:
     # write leaves no summary.
     try:
         with _output(args.out) as out, (
-            _output(args.dump_runs) if args.dump_runs else nullcontext()
+            _output(args.dump_runs) if args.dump_runs is not None else nullcontext()
         ) as dump:
             stats = simulate_batch(
                 args.k,
@@ -335,10 +346,7 @@ def _cmd_simulate(args) -> int:
     except RuntimeError as exc:
         # A failed batch or write leaves no output, though the dump may
         # hold rows.
-        # Only regular files are removed, never a device such as /dev/null.
-        for path in (args.out, args.dump_runs):
-            if path and os.path.isfile(path):
-                os.remove(path)
+        _remove_regular_files(args.out, args.dump_runs)
         return _run_error(exc)
     return 0
 
@@ -376,42 +384,46 @@ def _cmd_figure4(args) -> int:
     if args.workers < 1:
         return _usage_error(f"--workers must be >= 1, got {args.workers}")
     n_max = 2**args.max_k + 1
-    table = optimal_costs(n_max)
     # Stage k reuses the per-run seed derivation with run indices offset by
     # k * runs, so every (stage, run) pair has a distinct stream.  Each stage
     # forks its own workers; a worker's fork, exit and wait take about 2 ms.
     workers = _worker_processes(args.workers)
-    try:
-        batches = {
-            k: simulate_batch(k, args.runs, args.seed + k * args.runs, workers=workers)
-            for k in range(args.max_k + 1)
-        }
-    except RuntimeError as exc:
-        return _run_error(exc)
-    mc_rows = {2**k + 3: stats for k, stats in batches.items()}
-
-    def rows():
-        recycled = linear_recycled_costs(max(2, n_max))
-        for n, recycled_cost in zip(range(1, n_max + 1), recycled):
-            size = n + 2
-            row = {"N": size}
-            row.update(_rational_cells("linear", w3_linear_cost(n)))
-            row.update(_rational_cells("linear_recycled", recycled_cost))
-            row.update(_rational_cells("optimal", table.cost(n)))
-            exp_cost = (
-                exponential_cost(n.bit_length() - 1) if n & (n - 1) == 0 else None
-            )
-            row.update(_rational_cells("exponential", exp_cost))
-            stats = mc_rows.get(size)
-            row["mc_k"] = stats.k if stats else None
-            row["mc_runs"] = stats.runs if stats else None
-            row["mc_mean"] = stats.mean if stats else None
-            row["mc_stderr"] = stats.stderr if stats else None
-            yield row
-
+    # --out is opened before any cost or batch is computed, so that an
+    # unwritable path fails at once.
     with _output(args.out) as handle:
-        _write_rows(rows(), args.format, handle)
+        optimal_a, _ = optimal_costs(n_max)
+        try:
+            batches = {
+                k: simulate_batch(k, args.runs, args.seed + k * args.runs, workers=workers)
+                for k in range(args.max_k + 1)
+            }
+        except RuntimeError as exc:
+            # A failed batch leaves no output.
+            _remove_regular_files(args.out)
+            return _run_error(exc)
+        mc_rows = {2**k + 3: stats for k, stats in batches.items()}
+        _write_rows(_figure4_rows(n_max, optimal_a, mc_rows), args.format, handle)
     return 0
+
+
+def _figure4_rows(n_max: int, optimal_a: list, mc_rows: dict) -> Iterator[dict]:
+    """The rows of `figure4` for indices 1..n_max, from the optimal DP's
+    normalized costs and the batch statistics keyed by actual size."""
+    recycled = linear_recycled_costs(max(2, n_max))
+    for n, recycled_a in zip(range(1, n_max + 1), recycled):
+        size = n + 2
+        row = {"N": size}
+        row.update(_rational_cells("linear", w3_linear_cost(n), size))
+        row.update(_rational_cells("linear_recycled", recycled_a, size))
+        row.update(_rational_cells("optimal", optimal_a[n], size))
+        exp_a = exponential_cost(n.bit_length() - 1) if n & (n - 1) == 0 else None
+        row.update(_rational_cells("exponential", exp_a, size))
+        stats = mc_rows.get(size)
+        row["mc_k"] = stats.k if stats else None
+        row["mc_runs"] = stats.runs if stats else None
+        row["mc_mean"] = stats.mean if stats else None
+        row["mc_stderr"] = stats.stderr if stats else None
+        yield row
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:

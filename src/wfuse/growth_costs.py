@@ -1,20 +1,30 @@
 """Closed-form and recursive resource costs of W-state growth strategies.
 
 Costs are measured in consumed basic resource states ``w_1`` (three-photon
-W states, unit cost) and are exact rationals throughout.  ``R[w_0] = 0`` by
-convention: Bell pairs left over by recycling are discarded with no salvage
-credit.
+W states, unit cost) and are exact.  ``R[w_0] = 0`` by convention: Bell
+pairs left over by recycling are discarded with no salvage credit.
+
+Every strategy's cost is stated in one form, the normalized cost
+``a(n) = (n+2) R[w_n]``, which is an integer for each strategy here:
+``a(n)`` is the numerator of ``R[w_n]`` over ``n + 2``, not necessarily in
+lowest terms.  The ``*_normalized_cost(s)`` functions return these ints and
+load no rational arithmetic; the ``Fraction`` functions return
+``Fraction(a(n), n + 2)``.
 
 Strategies covered here:
 
 * linear growth (fuse a fixed-size ``w_n`` onto the working state), without
   recycling -- :func:`linear_growth_cost`, with the repeated-``w_1`` special
-  case in closed form as :func:`w3_linear_cost`;
-* linear growth with recycling of the shortened working state --
+  case in closed form as :func:`w3_linear_normalized_cost`, whose value is
+  ``(11 * 3^n - 6n - 15) / 4``, and :func:`w3_linear_cost`;
+* linear growth with recycling of the shortened working state -- the
+  integer recurrence of :func:`iter_linear_recycled_normalized_costs`, and
   :func:`linear_recycled_costs`, or one cost at a time from
   :func:`iter_linear_recycled_costs`;
-* doubling growth (fuse two equal sizes), without recycling --
-  :func:`exponential_cost` and its bounded prefactor :func:`gamma`.
+* doubling growth (fuse two equal sizes), without recycling -- the
+  integer recurrence ``a(1) = 3``, ``a(2n) = 2(n+2) a(n)`` of
+  :func:`exponential_normalized_cost`, :func:`exponential_cost` and its
+  bounded prefactor :func:`gamma`.
 
 The optimal non-recycling strategy lives in :mod:`wfuse.optimal`.
 """
@@ -24,8 +34,9 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import TYPE_CHECKING, Iterator
 
-# Every function imports Fraction itself, so that a process that builds no
-# rational, such as `wfuse simulate`, never loads fractions and decimal.
+# Every function that builds a rational imports Fraction itself, so that a
+# process that builds none, such as `wfuse simulate` or `wfuse cost`, never
+# loads fractions and decimal.
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -33,9 +44,12 @@ __all__ = [
     "LinearGrowthParams",
     "compose_cost",
     "linear_growth_cost",
+    "w3_linear_normalized_cost",
     "w3_linear_cost",
+    "iter_linear_recycled_normalized_costs",
     "linear_recycled_costs",
     "iter_linear_recycled_costs",
+    "exponential_normalized_cost",
     "exponential_cost",
     "gamma",
 ]
@@ -100,35 +114,57 @@ def linear_growth_cost(
     return rk / (m + k * n + 2)
 
 
+def w3_linear_normalized_cost(target: int) -> int:
+    """Normalized cost ``(N+2) R[w_N]`` of ``w_N``, ``N = target``, grown one
+    index at a time from ``w_1`` states: ``(11 * 3^N - 6N - 15) / 4``.
+
+    The division is exact: ``11 * 3^N`` and ``6N + 15`` are both 1 mod 4
+    for odd ``N`` and both 3 mod 4 for even ``N``.
+    """
+    if target < 1:
+        raise ValueError(f"target index must be >= 1, got {target}")
+    return (11 * 3**target - 6 * target - 15) // 4
+
+
 def w3_linear_cost(target: int) -> Fraction:
     """Cost of ``w_target`` grown one index at a time from ``w_1`` states.
 
-    Closed form ``((11/4) 3^N - (3/2) N - 15/4) / (N+2)`` for ``N >= 1``;
-    the cost grows like ``O(3^N)``.
+    Closed form ``((11/4) 3^N - (3/2) N - 15/4) / (N+2)`` for ``N >= 1``,
+    i.e. :func:`w3_linear_normalized_cost` over ``N + 2``; the cost grows
+    like ``O(3^N)``.
     """
     from fractions import Fraction
 
-    if target < 1:
-        raise ValueError(f"target index must be >= 1, got {target}")
-    numerator = Fraction(11, 4) * 3**target - Fraction(3, 2) * target - Fraction(15, 4)
-    return numerator / (target + 2)
+    return Fraction(w3_linear_normalized_cost(target), target + 2)
 
 
-def iter_linear_recycled_costs(max_m: int) -> Iterator[Fraction]:
-    """``R[w_1]``, ..., ``R[w_max_m]`` of :func:`linear_recycled_costs`, one
-    at a time, from its integer recurrence.
+def iter_linear_recycled_normalized_costs(max_m: int) -> Iterator[int]:
+    """The integers ``r_m = (m+2) R[w_m]`` of :func:`linear_recycled_costs`
+    for ``m = 1, ..., max_m``, one at a time, from their recurrence
+
+        r_{m+1} = 3 r_m - 2 r_{m-1} + 3 (m+2),   r_0 = 0,  r_1 = 3.
 
     Only the last two terms of the recurrence are held, so a caller that
     writes each cost out as it comes never has the whole table in memory.
     """
-    from fractions import Fraction
-
     if max_m < 2:
         raise ValueError(f"max_m must be >= 2, got {max_m}")
     prev, r = 0, 3
     for m in range(1, max_m + 1):
-        yield Fraction(r, m + 2)
+        yield r
         prev, r = r, 3 * r - 2 * prev + 3 * (m + 2)
+
+
+def iter_linear_recycled_costs(max_m: int) -> Iterator[Fraction]:
+    """``R[w_1]``, ..., ``R[w_max_m]`` of :func:`linear_recycled_costs`, one
+    at a time: ``r_m / (m+2)`` for each ``r_m`` of
+    :func:`iter_linear_recycled_normalized_costs`.
+    """
+    from fractions import Fraction
+
+    normalized = iter_linear_recycled_normalized_costs(max_m)
+    for m, r in enumerate(normalized, start=1):
+        yield Fraction(r, m + 2)
 
 
 def linear_recycled_costs(max_m: int) -> list[Fraction]:
@@ -158,33 +194,45 @@ def linear_recycled_costs(max_m: int) -> list[Fraction]:
 
     whose values are integers (``r_2 = 18`` gives ``R[w_2] = 9/2``), and
     ``R[w_m] = r_m / (m+2)``.  The recurrence runs in
-    :func:`iter_linear_recycled_costs`, which yields the same costs one at
-    a time; this list is ``[0, *iter_linear_recycled_costs(max_m)]``.
+    :func:`iter_linear_recycled_normalized_costs`;
+    :func:`iter_linear_recycled_costs` yields the same costs one at a time,
+    and this list is ``[0, *iter_linear_recycled_costs(max_m)]``.
     """
     from fractions import Fraction
 
     return [Fraction(0), *iter_linear_recycled_costs(max_m)]
 
 
+def exponential_normalized_cost(k: int) -> int:
+    """Normalized cost ``a(2^k) = (2^k + 2) R[w_{2^k}]`` of the doubling
+    strategy without recycling.
+
+    Multiplying the doubling relation of :func:`exponential_cost` by
+    ``2n + 2`` turns it into ``a(2n) = 2 (n+2) a(n)`` for ``n = 2^l``,
+    which starts from ``a(1) = 3`` and stays in integers.
+    """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    a = 3
+    for l in range(k):
+        a *= 2 * (2**l + 2)
+    return a
+
+
 def exponential_cost(k: int) -> Fraction:
     """Cost ``R[w_{2^k}]`` of the doubling strategy without recycling.
 
-    Iterates the exact doubling relation
+    Follows the exact doubling relation
 
         R[w_{2^{l+1}}] = (2^l + 2)^2 / (2^l + 1) * R[w_{2^l}]
 
-    from ``R[w_1] = 1``.  This recurrence is the source of truth; the
-    :func:`gamma` closed form is its cross-check.
+    from ``R[w_1] = 1``, in the integer form of
+    :func:`exponential_normalized_cost`.  This recurrence is the source of
+    truth; the :func:`gamma` closed form is its cross-check.
     """
     from fractions import Fraction
 
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    cost = Fraction(1)
-    for l in range(k):
-        size = 2**l
-        cost *= Fraction((size + 2) ** 2, size + 1)
-    return cost
+    return Fraction(exponential_normalized_cost(k), 2**k + 2)
 
 
 def gamma(k: int) -> Fraction:

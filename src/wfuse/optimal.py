@@ -15,10 +15,12 @@ Since ``1 / P_s(w_k, w_{n-k}) = (k+2)(n-k+2) / (n+2)``, the normalized cost
 
     a(1) = 3,   a(n) = min_{k=1..n//2} a(k) (n-k+2) + a(n-k) (k+2)
 
-(split k and split n-k are the same fusion).  The DP runs this recurrence
-in ints over all n/2 splits of every n, O(n^2) in total, and turns
-``a(n)`` into a ``Fraction`` only to store it.  Ties between equal-cost
-splits break toward the smallest k, whose score comes first.
+(split k and split n-k are the same fusion).  :func:`optimal_normalized_costs`
+runs this recurrence in ints over all n/2 splits of every n, O(n^2) in
+total, and loads no rational arithmetic; :func:`optimal_costs` turns each
+``a(n)`` into the ``Fraction`` ``a(n) / (n+2)`` of its table entry.  Ties
+between equal-cost splits break toward the smallest k, whose score comes
+first.
 """
 
 from __future__ import annotations
@@ -34,7 +36,14 @@ from .growth_costs import compose_cost
 if TYPE_CHECKING:
     from fractions import Fraction
 
-__all__ = ["CostEntry", "CostTable", "FusionTree", "optimal_costs", "optimal_plan"]
+__all__ = [
+    "CostEntry",
+    "CostTable",
+    "FusionTree",
+    "optimal_normalized_costs",
+    "optimal_costs",
+    "optimal_plan",
+]
 
 
 class CostEntry(namedtuple("CostEntry", "cost best_split")):
@@ -64,18 +73,16 @@ class CostTable(namedtuple("CostTable", "entries max_n")):
         return self[n].cost
 
 
-def optimal_costs(max_n: int) -> CostTable:
-    """Fill the optimal-cost table bottom-up for indices 1..max_n.
-
-    Ties between equal-cost splits break toward the smallest k, so the
-    table (and everything derived from it) is deterministic.
+def optimal_normalized_costs(max_n: int) -> tuple[list[int], list]:
+    """The DP in integers for indices 1..max_n: ``(a, splits)``, two lists
+    indexed by ``n``, with ``a[n] = (n+2) R[w_n]_opt`` and ``splits[n]`` the
+    smallest minimizing k (None for ``n = 1``).  Index 0 holds ``a[0] = 0``
+    and None.
     """
-    from fractions import Fraction
-
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    entries = {1: CostEntry(Fraction(1), None)}
-    a = [0, 3]  # a[n] == (n + 2) * entries[n].cost
+    a = [0, 3]
+    splits = [None, None]
     for n in range(2, max_n + 1):
         half = n // 2
         # a[k] * (n - k + 2) + a[n - k] * (k + 2) for k = 1..half; zipping
@@ -92,8 +99,24 @@ def optimal_costs(max_n: int) -> CostTable:
         ]
         low = min(scores)
         # index() finds the first minimum, the smallest minimizing k
-        entries[n] = CostEntry(Fraction(low, n + 2), scores.index(low) + 1)
+        splits.append(scores.index(low) + 1)
         a.append(low)
+    return a, splits
+
+
+def optimal_costs(max_n: int) -> CostTable:
+    """Fill the optimal-cost table bottom-up for indices 1..max_n.
+
+    Ties between equal-cost splits break toward the smallest k, so the
+    table (and everything derived from it) is deterministic.  Each entry's
+    cost is ``Fraction(a[n], n + 2)`` of :func:`optimal_normalized_costs`.
+    """
+    from fractions import Fraction
+
+    a, splits = optimal_normalized_costs(max_n)
+    entries = {
+        n: CostEntry(Fraction(a[n], n + 2), splits[n]) for n in range(1, max_n + 1)
+    }
     return CostTable(entries, max_n)
 
 

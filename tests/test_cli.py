@@ -15,7 +15,8 @@ import pytest
 import wfuse.cli
 import wfuse.simulate
 from wfuse.cli import _csv_lines, _json_lines, main
-from wfuse.growth_costs import linear_recycled_costs, w3_linear_cost
+from wfuse.growth_costs import exponential_cost, linear_recycled_costs, w3_linear_cost
+from wfuse.optimal import optimal_costs
 from wfuse.rng import stream_for_run
 from wfuse.simulate import run_similar_sizes, simulate_batch
 
@@ -37,6 +38,25 @@ def parse_csv(text):
     lines = text.strip("\n").split("\n")
     header = lines[0].split(",")
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def fraction_cells(value, fmt):
+    """The num, den and float cells of ``value`` (a ``Fraction`` or None),
+    as `cost` and `figure4` print them in format ``fmt``: rendered from the
+    ``Fraction`` itself, and blank beyond the float range."""
+    if value is None:
+        return ["", "", ""] if fmt == "csv" else [None, None, None]
+    try:
+        number = float(value)
+    except OverflowError:
+        number = None
+    if fmt == "csv":
+        number = "" if number is None else format(number, ".17g")
+    return [str(value.numerator), str(value.denominator), number]
+
+
+def parse_rows(text, fmt):
+    return parse_csv(text) if fmt == "csv" else json.loads(text)
 
 
 @contextmanager
@@ -153,6 +173,43 @@ class TestCostCommand:
                 str(cost.denominator),
             )
         assert len(rows[-1]["cost_exact_num"]) == 4301
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "strategy, target, last_float_n",
+        [
+            ("linear", 654, 653),
+            ("linear-recycled", 1033, 1032),
+            ("optimal", 300, None),
+            ("exponential", 1026, None),
+        ],
+    )
+    def test_cells_match_fraction_rendering(self, capsys, fmt, strategy, target, last_float_n):
+        code, out = run_cli(
+            capsys, "cost", "--strategy", strategy, "--target", str(target), "--format", fmt
+        )
+        assert code == 0
+        rows = parse_rows(out, fmt)
+        n_max = target - 2
+        if strategy == "linear":
+            expected = {n: w3_linear_cost(n) for n in range(1, n_max + 1)}
+        elif strategy == "linear-recycled":
+            expected = dict(enumerate(linear_recycled_costs(n_max)))
+            del expected[0]
+        elif strategy == "optimal":
+            table = optimal_costs(n_max)
+            expected = {n: table.cost(n) for n in range(1, n_max + 1)}
+        else:
+            expected = {2**l: exponential_cost(l) for l in range(n_max.bit_length())}
+        assert [int(row["N"]) - 2 for row in rows] == list(expected)
+        for row in rows:
+            cells = [row["cost_exact_num"], row["cost_exact_den"], row["cost_float"]]
+            assert cells == fraction_cells(expected[int(row["N"]) - 2], fmt), row["N"]
+        if last_float_n is not None:
+            # The float cell is blank from the first N whose cost overflows.
+            assert rows[-2]["N"] in (last_float_n, str(last_float_n))
+            assert rows[-2]["cost_float"] not in ("", None)
+            assert rows[-1]["cost_float"] in ("", None)
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
@@ -356,11 +413,12 @@ class TestSimulateCommand:
             raise RuntimeError(f"step budget 10 exceeded at k={k}")
 
         monkeypatch.setattr(wfuse.simulate, "run_similar_sizes", overrun)
-        path = tmp_path / "runs.csv"
+        # The dump of simulate, the --out file of figure4: removed either way.
+        path = tmp_path / "written.csv"
         if command == "simulate":
             argv = ["simulate", "--k", "0", "--dump-runs", str(path)]
         else:
-            argv = ["figure4", "--max-k", "1"]
+            argv = ["figure4", "--max-k", "1", "--out", str(path)]
         assert main([*argv, "--runs", "5", "--seed", "1", "--workers", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -634,6 +692,30 @@ class TestFigure4Command:
             assert run_cli(capsys, *argv, "--workers", workers) == (0, serial)
             assert handed == ([expected] * batches if expected else []), (mask_cpus, host_cpus)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cells_match_fraction_rendering(self, capsys, fmt):
+        code, out = run_cli(
+            capsys, "figure4", "--max-k", "4", "--runs", "5", "--seed", "3", "--format", fmt
+        )
+        assert code == 0
+        rows = parse_rows(out, fmt)
+        n_max = 2**4 + 1
+        recycled = linear_recycled_costs(n_max)
+        table = optimal_costs(n_max)
+        assert [int(row["N"]) for row in rows] == list(range(3, n_max + 3))
+        for n, row in enumerate(rows, start=1):
+            expected = {
+                "linear": w3_linear_cost(n),
+                "linear_recycled": recycled[n],
+                "optimal": table.cost(n),
+                "exponential": (
+                    exponential_cost(n.bit_length() - 1) if n & (n - 1) == 0 else None
+                ),
+            }
+            for prefix, value in expected.items():
+                cells = [row[f"{prefix}_{cell}"] for cell in ("num", "den", "float")]
+                assert cells == fraction_cells(value, fmt), (n + 2, prefix)
+
     def test_json_blanks_are_null(self, capsys):
         code, out = run_cli(
             capsys,
@@ -801,6 +883,55 @@ class TestWriteErrors:
         assert err == b"wfuse: error: cannot write <stdout>: Broken pipe\n"
 
 
+class TestOutputPaths:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cost", "--strategy", "optimal", "--target", "10", "--out", ""],
+            ["simulate", "--k", "0", "--runs", "5", "--seed", "1", "--out", ""],
+            ["simulate", "--k", "0", "--runs", "5", "--seed", "1", "--dump-runs", ""],
+            ["verify-gate", "--n", "3", "--m", "3", "--out", ""],
+            ["figure4", "--max-k", "1", "--runs", "5", "--seed", "1", "--out", ""],
+        ],
+        ids=["cost", "simulate-out", "simulate-dump", "verify-gate", "figure4"],
+    )
+    def test_empty_path_is_usage_error(self, capsys, argv):
+        # An empty path names no file: it is not taken for stdout, and a
+        # dump is not silently left out.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "wfuse: error: cannot write : No such file or directory\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cost", "--strategy", "linear", "--target", "4000"],
+            ["cost", "--strategy", "linear-recycled", "--target", "4000"],
+            ["cost", "--strategy", "optimal", "--target", "4000"],
+            ["cost", "--strategy", "exponential", "--target", "4098"],
+            ["figure4", "--max-k", "6", "--runs", "300", "--seed", "1"],
+        ],
+        ids=["linear", "linear-recycled", "optimal", "exponential", "figure4"],
+    )
+    def test_unwritable_out_fails_before_any_work(self, capsys, monkeypatch, tmp_path, argv):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a layer was called before --out was opened")
+
+        for name in (
+            "optimal_costs", "linear_recycled_costs", "w3_linear_cost",
+            "exponential_cost", "simulate_batch",
+        ):
+            monkeypatch.setattr(wfuse.cli, name, forbidden)
+        path = tmp_path / "missing" / "x.csv"
+        assert main([*argv, "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"wfuse: error: cannot write {path}: No such file or directory\n"
+        )
+
+
 class TestSubprocessDeterminism:
     def test_module_invocation_reproduces_bytes(self):
         cmd = [
@@ -885,8 +1016,40 @@ class TestStartup:
         assert len(dump.read_text().splitlines()) == 201
         assert not added & self.RATIONALS
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Both linear tables reach past the float range.
+            "cost --strategy linear --target 700",
+            "cost --strategy linear-recycled --target 1100",
+            "cost --strategy optimal --target 100",
+            "cost --strategy exponential --target 258",
+            "figure4 --max-k 2 --runs 20 --seed 5",
+        ],
+    )
+    def test_exact_tables_load_no_rationals(self, argv, fmt):
+        added = self.modules_added_by(
+            "import os\n"
+            "from wfuse.cli import main\n"
+            f"code = main({argv.split()!r} + ['--format', {fmt!r}, '--out', os.devnull])\n"
+            "assert code == 0"
+        )
+        assert "wfuse.optimal" in added
+        assert not added & self.RATIONALS
+
+    def test_verify_gate_loads_fractions(self):
+        # A control of the tests above: a command that builds rationals
+        # loads fractions.
+        added = self.modules_added_by(
+            "import os\n"
+            "from wfuse.cli import main\n"
+            "assert main(['verify-gate', '--n', '3', '--m', '3', '--out', os.devnull]) == 0"
+        )
+        assert self.RATIONALS <= added
+
     def test_exact_oracle_loads_fractions(self):
-        # The control of the two tests above: a process that builds a
+        # The other control of the tests above: a process that builds a
         # rational loads fractions.
         added = self.modules_added_by(
             "from wfuse.simulate import exact_expected_cost\n"

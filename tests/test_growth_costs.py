@@ -8,11 +8,14 @@ from wfuse.growth_costs import (
     LinearGrowthParams,
     compose_cost,
     exponential_cost,
+    exponential_normalized_cost,
     gamma,
     iter_linear_recycled_costs,
+    iter_linear_recycled_normalized_costs,
     linear_growth_cost,
     linear_recycled_costs,
     w3_linear_cost,
+    w3_linear_normalized_cost,
 )
 
 
@@ -214,3 +217,43 @@ class TestExponentialGrowth:
             exponential_cost(-1)
         with pytest.raises(ValueError):
             gamma(-2)
+
+
+class TestNormalizedCosts:
+    """Each integer form equals ``(n + 2) * cost(n)`` of its ``Fraction``
+    function and of an independent statement of the same cost."""
+
+    def test_linear_up_to_3000(self):
+        # linear_growth_cost's recurrence with seed and increment w_1,
+        # a(N+1) = 3 a(N) + 3 (N + 2), run in ints
+        a = 3
+        for n in range(1, 3001):
+            assert w3_linear_normalized_cost(n) == a == (n + 2) * w3_linear_cost(n), n
+            a = 3 * a + 3 * (n + 2)
+        for n in (1, 2, 25, 300):
+            params = LinearGrowthParams(m=1, n=1, k=n - 1)
+            assert w3_linear_normalized_cost(n) == (n + 2) * linear_growth_cost(params)
+
+    def test_linear_recycled_up_to_3000(self):
+        reference = recycled_costs_by_fractions(3000)
+        normalized = list(iter_linear_recycled_normalized_costs(3000))
+        assert normalized == [(m + 2) * reference[m] for m in range(1, 3001)]
+        assert normalized == [
+            (m + 2) * cost for m, cost in enumerate(iter_linear_recycled_costs(3000), start=1)
+        ]
+
+    def test_doubling_up_to_k_11(self):
+        cost = Fraction(1)  # the doubling relation, in Fractions
+        for k in range(12):
+            size = 2**k
+            assert exponential_normalized_cost(k) == (size + 2) * cost
+            assert exponential_normalized_cost(k) == (size + 2) * exponential_cost(k)
+            cost *= Fraction((size + 2) ** 2, size + 1)
+
+    def test_range_checks(self):
+        with pytest.raises(ValueError):
+            w3_linear_normalized_cost(0)
+        with pytest.raises(ValueError):
+            next(iter_linear_recycled_normalized_costs(1))
+        with pytest.raises(ValueError):
+            exponential_normalized_cost(-1)

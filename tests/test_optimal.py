@@ -3,7 +3,13 @@ from fractions import Fraction
 import pytest
 
 from wfuse.growth_costs import compose_cost, exponential_cost, gamma
-from wfuse.optimal import CostEntry, FusionTree, optimal_costs, optimal_plan
+from wfuse.optimal import (
+    CostEntry,
+    FusionTree,
+    optimal_costs,
+    optimal_normalized_costs,
+    optimal_plan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +104,12 @@ class TestOptimalCosts:
             achievable = brute_force_tree_costs(n, cache)
             assert min(achievable) == table.cost(n)
 
+    def test_normalized_dp_matches_the_table(self, table_2048):
+        a, splits = optimal_normalized_costs(2048)
+        assert a[0] == 0 and splits[:2] == [None, None]
+        assert a[1:] == [(n + 2) * table_2048.cost(n) for n in range(1, 2049)]
+        assert splits[1:] == [table_2048[n].best_split for n in range(1, 2049)]
+
     def test_integer_dp_equals_fraction_dp(self):
         assert optimal_costs(300).entries == reference_entries(300)
 
@@ -111,6 +123,8 @@ class TestOptimalCosts:
     def test_range_checks(self):
         with pytest.raises(ValueError):
             optimal_costs(0)
+        with pytest.raises(ValueError):
+            optimal_normalized_costs(0)
         table = optimal_costs(4)
         with pytest.raises(KeyError):
             table[5]
