@@ -249,19 +249,24 @@ def _cmd_cost(args) -> int:
         )
     # --out is opened before any cost is computed, so that an unwritable
     # path fails at once.
-    with _output(args.out) as handle:
-        # (index, normalized cost) pairs, made as the rows are written.
-        indices = range(1, n_max + 1)
-        if args.strategy == "linear":
-            pairs = ((n, w3_linear_cost(n)) for n in indices)
-        elif args.strategy == "linear-recycled":
-            pairs = zip(indices, linear_recycled_costs(max(2, n_max)))
-        elif args.strategy == "optimal":
-            pairs = zip(indices, optimal_costs(n_max)[0][1:])
-        else:
-            levels = range(n_max.bit_length())
-            pairs = ((2**level, exponential_cost(level)) for level in levels)
-        _write_rows(_cost_rows(args.strategy, pairs), args.format, handle)
+    try:
+        with _output(args.out) as handle:
+            # (index, normalized cost) pairs, made as the rows are written.
+            indices = range(1, n_max + 1)
+            if args.strategy == "linear":
+                pairs = ((n, w3_linear_cost(n)) for n in indices)
+            elif args.strategy == "linear-recycled":
+                pairs = zip(indices, linear_recycled_costs(max(2, n_max)))
+            elif args.strategy == "optimal":
+                pairs = zip(indices, optimal_costs(n_max)[0][1:])
+            else:
+                levels = range(n_max.bit_length())
+                pairs = ((2**level, exponential_cost(level)) for level in levels)
+            _write_rows(_cost_rows(args.strategy, pairs), args.format, handle)
+    except _WriteError as exc:
+        # A failed write leaves no truncated table.
+        _remove_regular_files(args.out)
+        return _run_error(exc)
     return 0
 
 
@@ -390,19 +395,19 @@ def _cmd_figure4(args) -> int:
     workers = _worker_processes(args.workers)
     # --out is opened before any cost or batch is computed, so that an
     # unwritable path fails at once.
-    with _output(args.out) as handle:
-        optimal_a, _ = optimal_costs(n_max)
-        try:
+    try:
+        with _output(args.out) as handle:
+            optimal_a, _ = optimal_costs(n_max)
             batches = {
                 k: simulate_batch(k, args.runs, args.seed + k * args.runs, workers=workers)
                 for k in range(args.max_k + 1)
             }
-        except RuntimeError as exc:
-            # A failed batch leaves no output.
-            _remove_regular_files(args.out)
-            return _run_error(exc)
-        mc_rows = {2**k + 3: stats for k, stats in batches.items()}
-        _write_rows(_figure4_rows(n_max, optimal_a, mc_rows), args.format, handle)
+            mc_rows = {2**k + 3: stats for k, stats in batches.items()}
+            _write_rows(_figure4_rows(n_max, optimal_a, mc_rows), args.format, handle)
+    except RuntimeError as exc:
+        # A failed batch or write leaves no output.
+        _remove_regular_files(args.out)
+        return _run_error(exc)
     return 0
 
 

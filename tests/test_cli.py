@@ -407,16 +407,19 @@ class TestSimulateCommand:
         runs = 2 * wfuse.simulate._RANGE_CAP + 3
         self.assert_dumps_replay_stream_for_run(capsys, monkeypatch, tmp_path, runs, 43)
 
-    @pytest.mark.parametrize("command", ["simulate", "figure4"])
+    @pytest.mark.parametrize("command", ["simulate", "figure4", "figure4-out"])
     def test_step_budget_overrun_exits_one(self, capsys, monkeypatch, tmp_path, command):
         def overrun(k, rng, **kwargs):
             raise RuntimeError(f"step budget 10 exceeded at k={k}")
 
         monkeypatch.setattr(wfuse.simulate, "run_similar_sizes", overrun)
-        # The dump of simulate, the --out file of figure4: removed either way.
+        # The dump of simulate, the --out file of figure4: removed either way;
+        # figure4 on stdout prints nothing.
         path = tmp_path / "written.csv"
         if command == "simulate":
             argv = ["simulate", "--k", "0", "--dump-runs", str(path)]
+        elif command == "figure4":
+            argv = ["figure4", "--max-k", "1"]
         else:
             argv = ["figure4", "--max-k", "1", "--out", str(path)]
         assert main([*argv, "--runs", "5", "--seed", "1", "--workers", "1"]) == 1
@@ -867,6 +870,35 @@ class TestWriteErrors:
             done = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=full, env=module_env())
         assert done.returncode == code
         assert done.stdout == b""
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="no file size limit on Windows")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cost", "--strategy", "linear", "--target", "3000"],
+            ["cost", "--strategy", "optimal", "--target", "10", "--format", "json"],
+            ["figure4", "--max-k", "1", "--runs", "5", "--seed", "1"],
+        ],
+        ids=["cost-large", "cost-small", "figure4"],
+    )
+    def test_file_too_large_removes_out(self, tmp_path, argv):
+        # Under a 100-byte file size limit the large table fails while it is
+        # written, the small outputs when the file is closed; either way no
+        # truncated file is left behind.
+        path = tmp_path / "table.out"
+        limited = (
+            "import resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (100, hard))\n"
+            "from wfuse.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        cmd = [sys.executable, "-c", limited, *argv, "--out", str(path)]
+        done = subprocess.run(cmd, capture_output=True, env=module_env())
+        assert done.returncode == 1
+        assert done.stdout == b""
+        assert done.stderr == f"wfuse: error: cannot write {path}: File too large\n".encode()
+        assert not path.exists()
 
     def test_closed_stdout_pipe_exits_one(self):
         # The table is 2.2 MB, far more than a pipe holds, so the command is
