@@ -26,18 +26,19 @@ from contextlib import contextmanager, nullcontext, suppress
 from math import gcd
 from typing import Iterable, Iterator, Optional
 
-# The commands tabulate the integer forms, the normalized costs
-# a(n) = (n+2) R(n), so that `cost` and `figure4` never build a Fraction and
-# never load fractions and decimal.  They keep the names of the Fraction
-# functions because the benchmark's tracer (perfbench/tracing.py) times the
-# layer calls made through these four names of ``wfuse.cli``.
+# The commands compute the integer forms, the normalized costs
+# a(n) = (n+2) R(n) and the gate check's (num, den) ratios, so that no
+# command builds a Fraction or loads fractions, decimal and numbers.  They
+# keep the names of the Fraction functions because the benchmark's tracer
+# (perfbench/tracing.py) times the layer calls made through these five
+# names of ``wfuse.cli``.
 from .growth_costs import (
     exponential_normalized_cost as exponential_cost,
     iter_linear_recycled_normalized_costs as linear_recycled_costs,
     w3_linear_normalized_cost as w3_linear_cost,
 )
 from .optimal import optimal_normalized_costs as optimal_costs
-from .gate import verify_probabilities
+from .gate import verify_weights as verify_probabilities
 from .simulate import simulate_batch
 
 _FLOAT_FMT = ".17g"
@@ -360,24 +361,33 @@ def _cmd_verify_gate(args) -> int:
     for name, size in (("--n", args.n), ("--m", args.m)):
         if not 2 <= size <= 12:
             return _usage_error(f"{name} must be in 2..12, got {size}")
-    check = verify_probabilities(args.n, args.m)
-    rows = [
-        {
-            "N": args.n,
-            "M": args.m,
-            "branch": branch,
-            "analytic": float(check.analytic[branch]),
-            "simulated": float(check.simulated[branch]),
-            "abs_error": float(abs(check.simulated[branch] - check.analytic[branch])),
-            "fidelity": float(check.fidelities[branch]),
-        }
-        for branch in ("success", "recycle", "failure")
-    ]
-    with _output(args.out) as handle:
-        _write_rows(rows, args.format, handle)
-    exact = check.simulated == check.analytic and all(
-        value == 1 for value in check.fidelities.values()
-    )
+    analytic, simulated, fidelities = verify_probabilities(args.n, args.m)
+    # Every float is an int true division, so it is that of the Fraction.
+    rows, exact = [], True
+    for branch in ("success", "recycle", "failure"):
+        an, ad = analytic[branch]
+        sn, sd = simulated[branch]
+        fn, fd = fidelities[branch]
+        deviation = abs(sn * ad - an * sd)
+        exact = exact and deviation == 0 and fn == fd
+        rows.append(
+            {
+                "N": args.n,
+                "M": args.m,
+                "branch": branch,
+                "analytic": an / ad,
+                "simulated": sn / sd,
+                "abs_error": deviation / (sd * ad),
+                "fidelity": fn / fd,
+            }
+        )
+    try:
+        with _output(args.out) as handle:
+            _write_rows(rows, args.format, handle)
+    except _WriteError as exc:
+        # A failed write leaves no truncated table.
+        _remove_regular_files(args.out)
+        return _run_error(exc)
     return 0 if exact else 1
 
 

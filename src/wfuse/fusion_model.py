@@ -15,16 +15,16 @@ A single fusion attempt on ``(w_n, w_m)`` has three outcomes:
   ``(n+1)(m+1)/((n+2)(m+2))``
 * failure     -- both states destroyed, probability ``1/((n+2)(m+2))``
 
-This module is the only place in the library that states this law: one
-private helper gives its integer weights, and the three public forms are
-built on it.  :func:`outcome_distribution` gives the probabilities as
-exact :class:`fractions.Fraction` values, :func:`classify_uniform` maps a
-uniform variate to a branch by exact comparison, and :func:`threshold53`
-gives its branch edges for 53-bit draws.  The Monte Carlo kernel compares
-its draws with those edges, and the gate verifier in :mod:`wfuse.gate`
-compares the gate's amplitudes with :func:`outcome_distribution`.  This
-module says which branch an attempt takes; what the branch does to the
-states is applied in :mod:`wfuse.simulate`.
+This module is the only place in the library that states this law:
+:func:`outcome_weights` gives its integer weights, and the other three
+public forms are built on it.  :func:`outcome_distribution` gives the
+probabilities as exact :class:`fractions.Fraction` values,
+:func:`classify_uniform` maps a uniform variate to a branch by exact
+comparison, and :func:`threshold53` gives its branch edges for 53-bit
+draws.  The Monte Carlo kernel compares its draws with those edges, and
+the gate verifier in :mod:`wfuse.gate` compares the gate's amplitudes with
+the weights.  This module says which branch an attempt takes; what the
+branch does to the states is applied in :mod:`wfuse.simulate`.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "FAILURE",
     "BRANCHES",
     "OutcomeDistribution",
+    "outcome_weights",
     "outcome_distribution",
     "classify_uniform",
     "threshold53",
@@ -55,9 +56,10 @@ def _check_index(n: int, name: str) -> None:
         raise ValueError(f"{name} must be >= 0, got {n}")
 
 
-def _weights(n: int, m: int) -> tuple[int, int, int]:
-    """The law itself: integer weights ``(success, recyclable, total)``;
-    failure has weight 1, the rest of the total."""
+def outcome_weights(n: int, m: int) -> tuple[int, int, int]:
+    """The law itself: integer weights ``(success, recyclable, total)`` for
+    fusing ``w_n`` with ``w_m``; failure has weight 1, the rest of the
+    total."""
     _check_index(n, "n")
     _check_index(m, "m")
     return n + m + 2, (n + 1) * (m + 1), (n + 2) * (m + 2)
@@ -84,7 +86,7 @@ def outcome_distribution(n: int, m: int) -> OutcomeDistribution:
     """Exact (P_s, P_r, P_f) for fusing ``w_n`` with ``w_m``."""
     from fractions import Fraction  # only here: the Monte Carlo kernel uses integer edges
 
-    s, r, denom = _weights(n, m)
+    s, r, denom = outcome_weights(n, m)
     return OutcomeDistribution(Fraction(s, denom), Fraction(r, denom), Fraction(1, denom))
 
 
@@ -97,7 +99,7 @@ def classify_uniform(n: int, m: int, u) -> str:
     is classified by its precise dyadic value and never by a rounded
     threshold.  This ordering is part of the reproducibility contract.
     """
-    s, r, denom = _weights(n, m)
+    s, r, denom = outcome_weights(n, m)
     num, den = u.as_integer_ratio()
     if num < 0 or num >= den:
         raise ValueError(f"uniform variate {u} outside [0, 1)")
@@ -117,5 +119,5 @@ def threshold53(n: int, m: int) -> tuple[int, int]:
     below the first edge, recyclable below the second and a failure from
     there on.
     """
-    s, r, denom = _weights(n, m)
+    s, r, denom = outcome_weights(n, m)
     return -(-(s << 53) // denom), -(-((s + r) << 53) // denom)

@@ -26,8 +26,12 @@ Everything is exact.  A state holds rational amplitudes up to
 normalization (a W state puts amplitude 1 on each weight-one label), and
 every map the gate applies has integer coefficients, so each branch keeps
 integer amplitudes for W inputs.  Probabilities and fidelities are ratios
-of squared norms and squared overlaps, returned as ``Fraction`` values, and
-no value is ever normalized by a square root.
+of squared norms and squared overlaps, and no value is ever normalized by
+a square root.  One integer core computes the branch amplitude maps and
+their squared norms: :func:`verify_weights` returns its ratios as
+``(num, den)`` pairs of ints, which is what ``wfuse verify-gate`` prints
+from, and :func:`fuse`, :func:`fidelity` and :func:`verify_probabilities`
+return them as ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -35,11 +39,11 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from .fusion_model import BRANCHES, outcome_distribution
+from .fusion_model import FAILURE, RECYCLE, SUCCESS, outcome_weights
 
-# The functions that need them import Fraction and Rational themselves, so
-# that a process that builds no rational, such as `wfuse simulate`, never
-# loads fractions, decimal and numbers.
+# The functions that build a Fraction import it themselves, so that a
+# process that builds no rational, such as any `wfuse` command, never loads
+# fractions, decimal and numbers.
 if TYPE_CHECKING:
     from fractions import Fraction
     from numbers import Rational
@@ -51,6 +55,7 @@ __all__ = [
     "make_w_state",
     "fuse",
     "fidelity",
+    "verify_weights",
     "verify_probabilities",
     "check_decomposition",
     "COINCIDENCE_PATTERNS",
@@ -76,8 +81,6 @@ class SparseState:
     __slots__ = ("_amps", "_photons", "_norm2")
 
     def __init__(self, amplitudes: Amplitudes):
-        from numbers import Rational
-
         cleaned = {}
         length = None
         for label, amp in amplitudes.items():
@@ -89,7 +92,9 @@ class SparseState:
                 )
             if label.strip("HV"):
                 raise ValueError(f"label {label!r} contains symbols outside H/V")
-            if not isinstance(amp, Rational):
+            # An int or a Fraction has an int denominator; a float or a
+            # complex has none.
+            if not isinstance(getattr(amp, "denominator", None), int):
                 raise TypeError(
                     f"amplitude of {label!r} is not an int or Fraction: {amp!r}"
                 )
@@ -121,10 +126,14 @@ def fidelity(x: SparseState, y: SparseState) -> Fraction:
 
     if x._photons != y._photons:
         raise ValueError(f"photon counts differ: {x._photons} vs {y._photons}")
-    overlap = sum(
-        amp * y._amps[label] for label, amp in x._amps.items() if label in y._amps
-    )
-    return Fraction(overlap * overlap, x._norm2 * y._norm2)
+    return Fraction(*_fidelity_weights(x._amps, y._amps))
+
+
+def _fidelity_weights(x: Amplitudes, y: Amplitudes) -> tuple:
+    """The fidelity of the states ``x`` and ``y`` span, as the pair
+    ``(<x|y>^2, |x|^2 |y|^2)``."""
+    overlap = sum(amp * y[label] for label, amp in x.items() if label in y)
+    return overlap * overlap, _norm2(x) * _norm2(y)
 
 
 def _w_amplitudes(photons: int) -> Amplitudes:
@@ -177,6 +186,32 @@ def _combine(x: Amplitudes, y: Amplitudes, sign: int) -> Amplitudes:
     return {label: amp for label, amp in out.items() if amp}
 
 
+def _branch_maps(a: SparseState, b: SparseState) -> tuple:
+    """The gate's integer core: its branch amplitude maps on the last
+    photons of ``a`` and ``b``, and their squared norms.
+
+    Returns ``(a_h, b_h, maps, norms)``: the parts of ``a`` and ``b`` whose
+    consumed photon is H; the maps of the V,V branch, the H,H branch and
+    the symmetric and antisymmetric combinations of the H,V and V,H
+    branches, in that order; and the four squared norms.  The H,V and V,H
+    branches together weigh half the sum of the last two squared norms
+    (the parallelogram law).
+    """
+    a_h, a_v = _split_last_photon(a)
+    b_h, b_v = _split_last_photon(b)
+    hv = _tensor(a_h, b_v)
+    vh = _tensor(a_v, b_h)
+    # |H>_3|H>_4 spreads evenly over all four D/Dbar patterns;
+    # |V>_3|V>_4 does too but with a minus sign on the mixed ones.
+    maps = (
+        _tensor(a_v, b_v),
+        _tensor(a_h, b_h),
+        _combine(hv, vh, +1),
+        _combine(hv, vh, -1),
+    )
+    return a_h, b_h, maps, tuple(map(_norm2, maps))
+
+
 class GateReport(
     namedtuple(
         "GateReport",
@@ -225,24 +260,15 @@ def fuse(a: SparseState, b: SparseState) -> GateReport:
 
     if a is b:
         raise ValueError("cannot fuse a state with itself")
-    a_h, a_v = _split_last_photon(a)
-    b_h, b_v = _split_last_photon(b)
-
-    hh = _tensor(a_h, b_h)
-    vv = _tensor(a_v, b_v)
-    hv = _tensor(a_h, b_v)
-    vh = _tensor(a_v, b_h)
-    # |H>_3|H>_4 spreads evenly over all four D/Dbar patterns;
-    # |V>_3|V>_4 does too but with a minus sign on the mixed ones.
-    symmetric = _combine(hv, vh, +1)
-    antisymmetric = _combine(hv, vh, -1)
+    a_h, b_h, maps, norms = _branch_maps(a, b)
+    (vv, hh, symmetric, antisymmetric), (vv2, hh2, sym2, anti2) = maps, norms
 
     norm2 = a._norm2 * b._norm2
-    quarter_sym = Fraction(_norm2(symmetric), 4 * norm2)
-    quarter_anti = Fraction(_norm2(antisymmetric), 4 * norm2)
+    quarter_sym = Fraction(sym2, 4 * norm2)
+    quarter_anti = Fraction(anti2, 4 * norm2)
     breakdown = {
-        D1_ONLY: Fraction(_norm2(vv), norm2),
-        D2_ONLY: Fraction(_norm2(hh), norm2),
+        D1_ONLY: Fraction(vv2, norm2),
+        D2_ONLY: Fraction(hh2, norm2),
         "dd": quarter_sym,
         "dbar_dbar": quarter_sym,
         "d_dbar": quarter_anti,
@@ -264,7 +290,7 @@ def fuse(a: SparseState, b: SparseState) -> GateReport:
     recycle_states = (left, right) if left is not None and right is not None else None
 
     return GateReport(
-        p_success=Fraction(_norm2(hv) + _norm2(vh), norm2),
+        p_success=Fraction(sym2 + anti2, 2 * norm2),
         p_recycle=breakdown[D2_ONLY],
         p_failure=breakdown[D1_ONLY],
         post_success_state=sym_state,
@@ -291,36 +317,59 @@ class GateCheck(
     __slots__ = ()
 
 
-def verify_probabilities(n_photons: int, m_photons: int) -> GateCheck:
+def verify_weights(n_photons: int, m_photons: int) -> tuple:
     """Fuse fresh W states of the given sizes and compare with closed forms.
 
-    The expected branch probabilities for actual sizes (N, M) are those of
-    :func:`wfuse.fusion_model.outcome_distribution` for ``w_{N-2}`` and
-    ``w_{M-2}``: the gate's amplitudes, computed here on their own, are
+    Returns ``(analytic, simulated, fidelities)``: three dicts that map each
+    branch name to an exact ratio, an ``(num, den)`` pair of ints with a
+    positive ``den``, not always in lowest terms.  The simulation is exact
+    when ``simulated`` and ``analytic`` agree on every branch (compare by
+    cross-multiplication) and every fidelity is 1 (``num == den``).
+
+    The expected branch probabilities for actual sizes (N, M) are the
+    weights :func:`wfuse.fusion_model.outcome_weights` gives ``w_{N-2}``
+    and ``w_{M-2}``: the gate's amplitudes, computed here on their own, are
     checked against the very law the Monte Carlo simulator samples.  The
     fidelity entries check the post-measurement states: the merged state
     against ``W_{N+M-2}``, each recycled part against the one-smaller W
-    state (a single V photon for a Bell pair), and the failure remainder
-    against the all-H product.  A size below 2 raises ``ValueError`` from
-    :func:`make_w_state`.
+    state (a single V photon for a Bell pair), the lower of the two
+    counting, and the failure remainder against the all-H product.  A size
+    below 2 raises ``ValueError`` from :func:`make_w_state`.
     """
-    report = fuse(make_w_state(n_photons), make_w_state(m_photons))
-    analytic = dict(zip(BRANCHES, outcome_distribution(n_photons - 2, m_photons - 2)))
-    simulated = dict(
-        zip(BRANCHES, (report.p_success, report.p_recycle, report.p_failure))
-    )
-    left, right = report.post_recycle_states
-    survivors = "H" * (n_photons + m_photons - 2)
-    fidelities = {
-        "success": fidelity(
-            report.post_success_state, make_w_state(n_photons + m_photons - 2)
-        ),
-        "recycle": min(
-            fidelity(left, SparseState(_w_amplitudes(n_photons - 1))),
-            fidelity(right, SparseState(_w_amplitudes(m_photons - 1))),
-        ),
-        "failure": fidelity(report.post_failure_state, SparseState({survivors: 1})),
+    a, b = make_w_state(n_photons), make_w_state(m_photons)
+    a_h, b_h, (vv, _, symmetric, _), (vv2, hh2, sym2, anti2) = _branch_maps(a, b)
+    success, recyclable, total = outcome_weights(n_photons - 2, m_photons - 2)
+    norm2 = a._norm2 * b._norm2
+    analytic = {
+        SUCCESS: (success, total),
+        RECYCLE: (recyclable, total),
+        FAILURE: (1, total),
     }
+    simulated = {
+        SUCCESS: (sym2 + anti2, 2 * norm2),
+        RECYCLE: (hh2, norm2),
+        FAILURE: (vv2, norm2),
+    }
+    merged = n_photons + m_photons - 2
+    left = _fidelity_weights(a_h, _w_amplitudes(n_photons - 1))
+    right = _fidelity_weights(b_h, _w_amplitudes(m_photons - 1))
+    fidelities = {
+        SUCCESS: _fidelity_weights(symmetric, _w_amplitudes(merged)),
+        RECYCLE: right if right[0] * left[1] < left[0] * right[1] else left,
+        FAILURE: _fidelity_weights(vv, {"H" * merged: 1}),
+    }
+    return analytic, simulated, fidelities
+
+
+def verify_probabilities(n_photons: int, m_photons: int) -> GateCheck:
+    """:func:`verify_weights` with every ratio a ``Fraction``, and the
+    largest ``|simulated - analytic|`` as ``max_abs_error``."""
+    from fractions import Fraction
+
+    analytic, simulated, fidelities = (
+        {branch: Fraction(num, den) for branch, (num, den) in ratios.items()}
+        for ratios in verify_weights(n_photons, m_photons)
+    )
     return GateCheck(
         n_photons=n_photons,
         m_photons=m_photons,

@@ -15,6 +15,7 @@ import pytest
 import wfuse.cli
 import wfuse.simulate
 from wfuse.cli import _csv_lines, _json_lines, main
+from wfuse.gate import verify_probabilities
 from wfuse.growth_costs import exponential_cost, linear_recycled_costs, w3_linear_cost
 from wfuse.optimal import optimal_costs
 from wfuse.rng import stream_for_run
@@ -596,16 +597,54 @@ class TestVerifyGateCommand:
         )
 
     def test_any_deviation_exits_one(self, capsys, monkeypatch):
-        exact = wfuse.cli.verify_probabilities(3, 3)
-        simulated = dict(exact.simulated)
-        simulated["failure"] += Fraction(1, 10**30)
+        analytic, simulated, fidelities = wfuse.cli.verify_probabilities(3, 3)
+        # The failure ratio plus 1/10**30, still as an unreduced pair.
+        num, den = simulated["failure"]
+        simulated = {**simulated, "failure": (num * 10**30 + den, den * 10**30)}
         monkeypatch.setattr(
             wfuse.cli, "verify_probabilities",
-            lambda n, m: exact._replace(simulated=simulated),
+            lambda n, m: (analytic, simulated, fidelities),
         )
         code, out = run_cli(capsys, "verify-gate", "--n", "3", "--m", "3")
         assert code == 1
         assert parse_csv(out)[2]["abs_error"] == "1.0000000000000001e-30"
+
+    def test_unit_fidelity_required(self, capsys, monkeypatch):
+        analytic, simulated, fidelities = wfuse.cli.verify_probabilities(3, 3)
+        # A recycle fidelity of 1 - 1/10**30 rounds to the float 1.
+        fidelities = {**fidelities, "recycle": (10**30 - 1, 10**30)}
+        monkeypatch.setattr(
+            wfuse.cli, "verify_probabilities",
+            lambda n, m: (analytic, simulated, fidelities),
+        )
+        code, out = run_cli(capsys, "verify-gate", "--n", "3", "--m", "3")
+        assert code == 1
+        assert [row["fidelity"] for row in parse_csv(out)] == ["1", "1", "1"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_match_fraction_rendering(self, capsys, fmt):
+        # Every row on the whole size range, against the rows rendered from
+        # the Fraction form of the check, the way the command once did.
+        render = _csv_lines if fmt == "csv" else _json_lines
+        for n, m in itertools.product(range(2, 13), repeat=2):
+            check = verify_probabilities(n, m)
+            rows = [
+                {
+                    "N": n,
+                    "M": m,
+                    "branch": branch,
+                    "analytic": float(check.analytic[branch]),
+                    "simulated": float(check.simulated[branch]),
+                    "abs_error": float(abs(check.simulated[branch] - check.analytic[branch])),
+                    "fidelity": float(check.fidelities[branch]),
+                }
+                for branch in ("success", "recycle", "failure")
+            ]
+            code, out = run_cli(
+                capsys, "verify-gate", "--n", str(n), "--m", str(m), "--format", fmt
+            )
+            assert code == 0
+            assert out == "".join(render(rows)), (n, m)
 
     def test_out_of_range_sizes(self, capsys):
         assert main(["verify-gate", "--n", "13", "--m", "3"]) == 2
@@ -877,9 +916,10 @@ class TestWriteErrors:
         [
             ["cost", "--strategy", "linear", "--target", "3000"],
             ["cost", "--strategy", "optimal", "--target", "10", "--format", "json"],
+            ["verify-gate", "--n", "12", "--m", "12"],
             ["figure4", "--max-k", "1", "--runs", "5", "--seed", "1"],
         ],
-        ids=["cost-large", "cost-small", "figure4"],
+        ids=["cost-large", "cost-small", "verify-gate", "figure4"],
     )
     def test_file_too_large_removes_out(self, tmp_path, argv):
         # Under a 100-byte file size limit the large table fails while it is
@@ -1058,6 +1098,8 @@ class TestStartup:
             "cost --strategy optimal --target 100",
             "cost --strategy exponential --target 258",
             "figure4 --max-k 2 --runs 20 --seed 5",
+            "verify-gate --n 2 --m 2",
+            "verify-gate --n 12 --m 12",
         ],
     )
     def test_exact_tables_load_no_rationals(self, argv, fmt):
@@ -1070,15 +1112,16 @@ class TestStartup:
         assert "wfuse.optimal" in added
         assert not added & self.RATIONALS
 
-    def test_verify_gate_loads_fractions(self):
-        # A control of the tests above: a command that builds rationals
-        # loads fractions.
+    def test_gate_fractions_load_fractions(self):
+        # A control of the tests above: the library's Fraction form of the
+        # gate check, which verify-gate does not call, loads fractions.
         added = self.modules_added_by(
-            "import os\n"
-            "from wfuse.cli import main\n"
-            "assert main(['verify-gate', '--n', '3', '--m', '3', '--out', os.devnull]) == 0"
+            "from wfuse.gate import verify_probabilities\n"
+            "check = verify_probabilities(3, 3)\n"
+            "assert type(check.analytic['success']).__name__ == 'Fraction'\n"
+            "assert type(check.fidelities['recycle']).__name__ == 'Fraction'"
         )
-        assert self.RATIONALS <= added
+        assert "fractions" in added
 
     def test_exact_oracle_loads_fractions(self):
         # The other control of the tests above: a process that builds a

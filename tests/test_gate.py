@@ -11,6 +11,7 @@ from wfuse.gate import (
     fuse,
     make_w_state,
     verify_probabilities,
+    verify_weights,
 )
 
 
@@ -194,6 +195,41 @@ class TestVerifyProbabilities:
     def test_rejects_tiny_states(self):
         with pytest.raises(ValueError):
             verify_probabilities(1, 4)
+        with pytest.raises(ValueError):
+            verify_weights(4, 1)
+
+
+class TestVerifyWeights:
+    def test_equals_the_fraction_form(self):
+        for n in range(2, 17):
+            for m in range(2, 17):
+                check = verify_probabilities(n, m)
+                parts = verify_weights(n, m)
+                for ratios, values in zip(
+                    parts, (check.analytic, check.simulated, check.fidelities)
+                ):
+                    assert list(ratios) == ["success", "recycle", "failure"]
+                    assert {b: Fraction(*pair) for b, pair in ratios.items()} == values
+                    for num, den in ratios.values():
+                        assert type(num) is int and type(den) is int and den > 0
+
+    def test_recycle_fidelity_is_the_lower_part(self, monkeypatch):
+        # The recycled parts of W3 and W6 are checked against W2 and W5.
+        # Drop one term of either reference in turn, so that its part
+        # scores below 1: the recycle entry must be the lower ratio.
+        import wfuse.gate as gate
+
+        true_w = gate._w_amplitudes
+        for skewed, expected in ((2, Fraction(1, 2)), (5, Fraction(4, 5))):
+            def w_amplitudes(photons, skewed=skewed):
+                amps = true_w(photons)
+                if photons == skewed:
+                    del amps["V" + "H" * (photons - 1)]
+                return amps
+
+            monkeypatch.setattr(gate, "_w_amplitudes", w_amplitudes)
+            _, _, fidelities = verify_weights(3, 6)
+            assert Fraction(*fidelities["recycle"]) == expected
 
 
 class TestDecompositionIdentity:
