@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Optional
 # names of ``wfuse.cli``.
 from .growth_costs import (
     exponential_normalized_cost as exponential_cost,
-    iter_linear_recycled_normalized_costs as linear_recycled_costs,
+    linear_recycled_normalized_cost as linear_recycled_costs,
     w3_linear_normalized_cost as w3_linear_cost,
 )
 from .optimal import optimal_normalized_costs as optimal_costs
@@ -257,7 +257,7 @@ def _cmd_cost(args) -> int:
             if args.strategy == "linear":
                 pairs = ((n, w3_linear_cost(n)) for n in indices)
             elif args.strategy == "linear-recycled":
-                pairs = zip(indices, linear_recycled_costs(max(2, n_max)))
+                pairs = ((n, linear_recycled_costs(n)) for n in indices)
             elif args.strategy == "optimal":
                 pairs = zip(indices, optimal_costs(n_max)[0][1:])
             else:
@@ -424,12 +424,11 @@ def _cmd_figure4(args) -> int:
 def _figure4_rows(n_max: int, optimal_a: list, mc_rows: dict) -> Iterator[dict]:
     """The rows of `figure4` for indices 1..n_max, from the optimal DP's
     normalized costs and the batch statistics keyed by actual size."""
-    recycled = linear_recycled_costs(max(2, n_max))
-    for n, recycled_a in zip(range(1, n_max + 1), recycled):
+    for n in range(1, n_max + 1):
         size = n + 2
         row = {"N": size}
         row.update(_rational_cells("linear", w3_linear_cost(n), size))
-        row.update(_rational_cells("linear_recycled", recycled_a, size))
+        row.update(_rational_cells("linear_recycled", linear_recycled_costs(n), size))
         row.update(_rational_cells("optimal", optimal_a[n], size))
         exp_a = exponential_cost(n.bit_length() - 1) if n & (n - 1) == 0 else None
         row.update(_rational_cells("exponential", exp_a, size))

@@ -18,9 +18,11 @@ Strategies covered here:
   case in closed form as :func:`w3_linear_normalized_cost`, whose value is
   ``(11 * 3^n - 6n - 15) / 4``, and :func:`w3_linear_cost`;
 * linear growth with recycling of the shortened working state -- the
-  integer recurrence of :func:`iter_linear_recycled_normalized_costs`, and
-  :func:`linear_recycled_costs`, or one cost at a time from
-  :func:`iter_linear_recycled_costs`;
+  closed form ``15 * 2^n - 15 - 3n(n+7)/2`` of
+  :func:`linear_recycled_normalized_cost`, the solution of the integer
+  recurrence ``r_{n+1} = 3 r_n - 2 r_{n-1} + 3(n+2)`` (characteristic
+  roots 1 and 2, a quadratic particular solution), so the cost is
+  ``Theta(2^n / n)`` with constant 15, and :func:`linear_recycled_costs`;
 * doubling growth (fuse two equal sizes), without recycling -- the
   integer recurrence ``a(1) = 3``, ``a(2n) = 2(n+2) a(n)`` of
   :func:`exponential_normalized_cost`, :func:`exponential_cost` and its
@@ -32,7 +34,7 @@ The optimal non-recycling strategy lives in :mod:`wfuse.optimal`.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 # Every function that builds a rational imports Fraction itself, so that a
 # process that builds none, such as `wfuse simulate` or `wfuse cost`, never
@@ -46,9 +48,8 @@ __all__ = [
     "linear_growth_cost",
     "w3_linear_normalized_cost",
     "w3_linear_cost",
-    "iter_linear_recycled_normalized_costs",
+    "linear_recycled_normalized_cost",
     "linear_recycled_costs",
-    "iter_linear_recycled_costs",
     "exponential_normalized_cost",
     "exponential_cost",
     "gamma",
@@ -138,33 +139,16 @@ def w3_linear_cost(target: int) -> Fraction:
     return Fraction(w3_linear_normalized_cost(target), target + 2)
 
 
-def iter_linear_recycled_normalized_costs(max_m: int) -> Iterator[int]:
-    """The integers ``r_m = (m+2) R[w_m]`` of :func:`linear_recycled_costs`
-    for ``m = 1, ..., max_m``, one at a time, from their recurrence
+def linear_recycled_normalized_cost(m: int) -> int:
+    """Normalized cost ``r_m = (m+2) R[w_m]`` of :func:`linear_recycled_costs`
+    in closed form: ``15 * 2^m - 15 - 3m(m+7)/2``.
 
-        r_{m+1} = 3 r_m - 2 r_{m-1} + 3 (m+2),   r_0 = 0,  r_1 = 3.
-
-    Only the last two terms of the recurrence are held, so a caller that
-    writes each cost out as it comes never has the whole table in memory.
+    ``3m(m+7)`` is even for every ``m``, since ``m`` and ``m + 7`` differ
+    by an odd number, so the value is an integer.
     """
-    if max_m < 2:
-        raise ValueError(f"max_m must be >= 2, got {max_m}")
-    prev, r = 0, 3
-    for m in range(1, max_m + 1):
-        yield r
-        prev, r = r, 3 * r - 2 * prev + 3 * (m + 2)
-
-
-def iter_linear_recycled_costs(max_m: int) -> Iterator[Fraction]:
-    """``R[w_1]``, ..., ``R[w_max_m]`` of :func:`linear_recycled_costs`, one
-    at a time: ``r_m / (m+2)`` for each ``r_m`` of
-    :func:`iter_linear_recycled_normalized_costs`.
-    """
-    from fractions import Fraction
-
-    normalized = iter_linear_recycled_normalized_costs(max_m)
-    for m, r in enumerate(normalized, start=1):
-        yield Fraction(r, m + 2)
+    if m < 1:
+        raise ValueError(f"index must be >= 1, got {m}")
+    return (15 << m) - 15 - 3 * m * (m + 7) // 2
 
 
 def linear_recycled_costs(max_m: int) -> list[Fraction]:
@@ -180,27 +164,34 @@ def linear_recycled_costs(max_m: int) -> list[Fraction]:
     with ``p_m = P_s(w_m, w_1)`` and ``q_m = P_r(w_m, w_1)``.  A recyclable
     outcome keeps the shortened working state ``w_{m-1}`` (the shortened
     companion is a Bell pair and is discarded); a failure restarts from
-    scratch.  The increments ``R[w_{m+1}] - R[w_m]`` approach a ratio of 2,
-    so recycling brings the scaling down from ``O(3^m)`` to ``O(2^m)``.
+    scratch.
 
-    The recursion runs on integers.  With ``p_m = (m+3) / (3(m+2))`` and
-    ``q_m = 2(m+1) / (3(m+2))``, multiplying it by ``3(m+2)`` gives
+    With ``p_m = (m+3) / (3(m+2))`` and ``q_m = 2(m+1) / (3(m+2))``,
+    multiplying the recursion by ``3(m+2)`` gives
 
         (m+3) R[w_{m+1}] = 3 (m+2) R[w_m] + 3 (m+2) - 2 (m+1) R[w_{m-1}],
 
     so ``r_m = (m+2) R[w_m]`` satisfies
 
-        r_{m+1} = 3 r_m - 2 r_{m-1} + 3 (m+2),   r_0 = 0,  r_1 = 3,
+        r_{m+1} = 3 r_m - 2 r_{m-1} + 3 (m+2),   r_0 = 0,  r_1 = 3.
 
-    whose values are integers (``r_2 = 18`` gives ``R[w_2] = 9/2``), and
-    ``R[w_m] = r_m / (m+2)``.  The recurrence runs in
-    :func:`iter_linear_recycled_normalized_costs`;
-    :func:`iter_linear_recycled_costs` yields the same costs one at a time,
-    and this list is ``[0, *iter_linear_recycled_costs(max_m)]``.
+    Its characteristic roots are 1 and 2, and the root 1 lifts the
+    particular solution for the linear forcing to a quadratic,
+    ``-3m(m+7)/2``; the initial values fix the rest:
+
+        r_m = 15 * 2^m - 15 - 3m(m+7)/2,
+
+    an integer because ``3m(m+7)`` is always even: the value of
+    :func:`linear_recycled_normalized_cost`, and
+    ``R[w_m] = r_m / (m+2)``.  So ``R[w_m] = Theta(2^m / m)`` with constant
+    15, against the ``Theta(3^m / m)`` of linear growth without recycling.
     """
     from fractions import Fraction
 
-    return [Fraction(0), *iter_linear_recycled_costs(max_m)]
+    if max_m < 2:
+        raise ValueError(f"max_m must be >= 2, got {max_m}")
+    costs = (Fraction(linear_recycled_normalized_cost(m), m + 2) for m in range(1, max_m + 1))
+    return [Fraction(0), *costs]
 
 
 def exponential_normalized_cost(k: int) -> int:

@@ -10,10 +10,9 @@ from wfuse.growth_costs import (
     exponential_cost,
     exponential_normalized_cost,
     gamma,
-    iter_linear_recycled_costs,
-    iter_linear_recycled_normalized_costs,
     linear_growth_cost,
     linear_recycled_costs,
+    linear_recycled_normalized_cost,
     w3_linear_cost,
     w3_linear_normalized_cost,
 )
@@ -154,15 +153,11 @@ class TestLinearRecycledCosts:
         for max_m in (2, 3, 17):
             assert linear_recycled_costs(max_m) == reference[: max_m + 1]
 
-    def test_generator_yields_the_list(self):
-        costs = iter_linear_recycled_costs(400)
-        assert next(costs) == 1
-        assert [Fraction(0), Fraction(1), *costs] == recycled_costs_by_fractions(400)
-
     def test_difference_ratio_approaches_two(self):
-        # |ratio - 2| tracks 2/(m+3): 1.56% of the limit at m = 60, first
-        # within 1% at m = 96
-        costs = linear_recycled_costs(101)
+        # The ratio approaches 2 from below by 2(m-1)/(m(m+3)), up to a
+        # term that decays like m^3 / 2^m: 1.56% of the limit at m = 60,
+        # first within 1% at m = 96
+        costs = linear_recycled_costs(201)
 
         def ratio_at(m):
             return (costs[m + 1] - costs[m]) / (costs[m] - costs[m - 1])
@@ -172,6 +167,11 @@ class TestLinearRecycledCosts:
         assert abs(ratio_at(96) - 2) <= Fraction(2, 100)
         assert abs(ratio_at(100) - 2) < Fraction(2, 100)
         assert abs(ratio_at(100) - 2) < deviation_60
+        for m in range(60, 201):
+            ratio = ratio_at(m)
+            assert ratio < 2, m
+            law = 2 - Fraction(2 * (m - 1), m * (m + 3))
+            assert abs(ratio - law) < Fraction(1, 10**16), m
 
     def test_recycling_never_hurts(self):
         costs = linear_recycled_costs(40)
@@ -184,7 +184,9 @@ class TestLinearRecycledCosts:
         with pytest.raises(ValueError):
             linear_recycled_costs(1)
         with pytest.raises(ValueError):
-            next(iter_linear_recycled_costs(1))
+            linear_recycled_normalized_cost(0)
+        with pytest.raises(ValueError):
+            linear_recycled_normalized_cost(-1)
 
 
 class TestExponentialGrowth:
@@ -235,12 +237,15 @@ class TestNormalizedCosts:
             assert w3_linear_normalized_cost(n) == (n + 2) * linear_growth_cost(params)
 
     def test_linear_recycled_up_to_3000(self):
+        # The closed form against the Fraction recursion as stated and
+        # against its integer form, r(m+1) = 3 r(m) - 2 r(m-1) + 3 (m+2)
+        # from r(0) = 0, r(1) = 3, run in ints
         reference = recycled_costs_by_fractions(3000)
-        normalized = list(iter_linear_recycled_normalized_costs(3000))
-        assert normalized == [(m + 2) * reference[m] for m in range(1, 3001)]
-        assert normalized == [
-            (m + 2) * cost for m, cost in enumerate(iter_linear_recycled_costs(3000), start=1)
-        ]
+        prev, r = 0, 3
+        for m in range(1, 3001):
+            closed = linear_recycled_normalized_cost(m)
+            assert closed == r == (m + 2) * reference[m], m
+            prev, r = r, 3 * r - 2 * prev + 3 * (m + 2)
 
     def test_doubling_up_to_k_11(self):
         cost = Fraction(1)  # the doubling relation, in Fractions
@@ -254,6 +259,8 @@ class TestNormalizedCosts:
         with pytest.raises(ValueError):
             w3_linear_normalized_cost(0)
         with pytest.raises(ValueError):
-            next(iter_linear_recycled_normalized_costs(1))
+            linear_recycled_normalized_cost(0)
+        with pytest.raises(ValueError):
+            linear_recycled_normalized_cost(-1)
         with pytest.raises(ValueError):
             exponential_normalized_cost(-1)

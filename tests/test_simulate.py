@@ -710,6 +710,72 @@ class TestExactChainOracle:
         assert abs(stats.mean - exact) < 4 * stats.stderr
 
 
+def branch_draws(n, m):
+    """A 53-bit draw for each branch of fusing ``(w_n, w_m)``, in
+    ``BRANCHES`` order: 0 succeeds, the success edge is the lowest
+    recyclable draw, and the largest draw fails."""
+    return (0, threshold53(n, m)[0], 2**53 - 1)
+
+
+def chain_runs(k):
+    """One scripted run per transition of ``_fusion_chain(k)``, with the
+    :class:`RunResult` the chain gives it.
+
+    Each run takes a shortest branch prefix to the transition's state,
+    found by breadth-first search, then the transition's branch, then
+    successes until the run ends.
+    """
+    initial_draws, states, transitions = _fusion_chain(k)
+    words = [branch_draws(*buckets[xi][:2]) for buckets, xi in states]
+    # state -> (draws of a shortest prefix, w_1 draws, branch counts)
+    prefixes = {0: ((), initial_draws, (0, 0, 0))}
+    queue = [0]
+    for i in queue:  # also visits the states appended below, in BFS order
+        script, cost, counts = prefixes[i]
+        for branch, (_, draws, j) in enumerate(transitions[i]):
+            if j is not None and j not in prefixes:
+                tally = list(counts)
+                tally[branch] += 1
+                prefixes[j] = (script + (words[i][branch],), cost + draws, tuple(tally))
+                queue.append(j)
+    assert len(prefixes) == len(states)
+
+    @cache
+    def complete(i):
+        """(w_1 draws, attempts, final size) of successes from state ``i``."""
+        _, draws, j = transitions[i][0]
+        if j is None:
+            buckets, xi = states[i]
+            return 0, 1, sum(buckets[xi][:2])
+        cost, attempts, final = complete(j)
+        return draws + cost, attempts + 1, final
+
+    for i, moves in enumerate(transitions):
+        script, cost, counts = prefixes[i]
+        buckets, xi = states[i]
+        for branch, (_, draws, j) in enumerate(moves):
+            if j is None:
+                more_cost, more, final = 0, 0, sum(buckets[xi][:2])
+            else:
+                more_cost, more, final = complete(j)
+            tally = list(counts)
+            tally[branch] += 1
+            tally[0] += more
+            run = script + (words[i][branch],) + (0,) * more
+            yield run, RunResult(cost + draws + more_cost, final, len(run), *tally)
+
+
+class TestChainTransitions:
+    @pytest.mark.parametrize("k", range(6))
+    def test_kernel_takes_every_transition(self, k):
+        # Every transition of the chain, 5,568 at k = 5, through the kernel
+        # at the tightest budget; sampled runs reach rare ones only by
+        # chance.  About 0.2 s in all.
+        for run, expected in chain_runs(k):
+            tight = expected.cost + expected.fusion_attempts - 1
+            assert run_similar_sizes(k, run, max_steps=tight) == expected, run
+
+
 def run_linear_strategy(
     target: int,
     recycle: bool,
