@@ -15,6 +15,12 @@ failure, a Monte Carlo run over its step budget, a worker process that
 could not be started or that ended early, or an output that could not be
 written (a full disk, a closed pipe), 2 usage error, an output path that
 cannot be opened for writing included.
+
+One failure policy holds for every command: each validates its flags,
+opens its outputs and only then computes.  A command whose batch or write
+fails removes the regular files it opened (``--out`` and ``--dump-runs``,
+never a device such as /dev/null) and exits 1; an output that cannot be
+opened exits 2 and removes nothing.
 """
 
 from __future__ import annotations
@@ -86,11 +92,6 @@ class _OutputError(Exception):
     """An output path that cannot be opened for writing."""
 
 
-class _WriteError(RuntimeError):
-    """An output that could not be written, such as a full disk or a pipe
-    whose reader has gone."""
-
-
 def _open_output(path: str):
     try:
         return open(path, "w", newline="")
@@ -100,7 +101,8 @@ def _open_output(path: str):
 
 @contextmanager
 def _writing(handle):
-    """Raise an ``OSError`` of the body as a :class:`_WriteError`.
+    """Raise an ``OSError`` of the body, such as a full disk or a pipe
+    whose reader has gone, as a ``RuntimeError``.
 
     When ``handle`` is stdout, stdout is first pointed at ``os.devnull``,
     so that the flush at exit does not fail again on the text left in its
@@ -112,7 +114,7 @@ def _writing(handle):
         if handle is sys.stdout:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
-        raise _WriteError(f"cannot write {handle.name}: {exc.strerror}") from None
+        raise RuntimeError(f"cannot write {handle.name}: {exc.strerror}") from None
 
 
 @contextmanager
@@ -131,14 +133,6 @@ def _output(path: Optional[str]):
     finally:
         with _writing(handle):
             handle.close()
-
-
-def _remove_regular_files(*paths: Optional[str]) -> None:
-    """Remove each of ``paths`` that names a regular file, never a device
-    such as /dev/null."""
-    for path in paths:
-        if path and os.path.isfile(path):
-            os.remove(path)
 
 
 def _json_lines(rows: Iterable[dict]) -> Iterator[str]:
@@ -179,11 +173,6 @@ def _print_error(message) -> None:
 def _usage_error(message: str) -> int:
     _print_error(message)
     return 2
-
-
-def _run_error(exc: RuntimeError) -> int:
-    _print_error(exc)
-    return 1
 
 
 def _worker_processes(requested: int) -> int:
@@ -248,26 +237,19 @@ def _cmd_cost(args) -> int:
             "exponential growth reaches only sizes with N - 2 a power "
             f"of two; N = {target} is not one"
         )
-    # --out is opened before any cost is computed, so that an unwritable
-    # path fails at once.
-    try:
-        with _output(args.out) as handle:
-            # (index, normalized cost) pairs, made as the rows are written.
-            indices = range(1, n_max + 1)
-            if args.strategy == "linear":
-                pairs = ((n, w3_linear_cost(n)) for n in indices)
-            elif args.strategy == "linear-recycled":
-                pairs = ((n, linear_recycled_costs(n)) for n in indices)
-            elif args.strategy == "optimal":
-                pairs = zip(indices, optimal_costs(n_max)[0][1:])
-            else:
-                levels = range(n_max.bit_length())
-                pairs = ((2**level, exponential_cost(level)) for level in levels)
-            _write_rows(_cost_rows(args.strategy, pairs), args.format, handle)
-    except _WriteError as exc:
-        # A failed write leaves no truncated table.
-        _remove_regular_files(args.out)
-        return _run_error(exc)
+    with _output(args.out) as handle:
+        # (index, normalized cost) pairs, made as the rows are written.
+        indices = range(1, n_max + 1)
+        if args.strategy == "linear":
+            pairs = ((n, w3_linear_cost(n)) for n in indices)
+        elif args.strategy == "linear-recycled":
+            pairs = ((n, linear_recycled_costs(n)) for n in indices)
+        elif args.strategy == "optimal":
+            pairs = zip(indices, optimal_costs(n_max)[0][1:])
+        else:
+            levels = range(n_max.bit_length())
+            pairs = ((2**level, exponential_cost(level)) for level in levels)
+        _write_rows(_cost_rows(args.strategy, pairs), args.format, handle)
     return 0
 
 
@@ -312,48 +294,45 @@ def _cmd_simulate(args) -> int:
         return _usage_error(f"--workers must be >= 1, got {args.workers}")
     if args.out and args.dump_runs:
         path = os.path.realpath(args.out)
+        same = path == os.path.realpath(args.dump_runs)
+        # A hard link is one file under another real path; a path that does
+        # not exist yet has no file to compare.
+        with suppress(OSError):
+            same = same or os.path.samefile(path, args.dump_runs)
         # Both are open at once below, and two handles on one file would
         # overwrite each other; two on a device such as /dev/null cannot.
-        if path == os.path.realpath(args.dump_runs) and (
-            os.path.isfile(path) or not os.path.exists(path)
-        ):
+        if same and (os.path.isfile(path) or not os.path.exists(path)):
             return _usage_error("--out and --dump-runs must be different files")
     # Both paths are opened before the batch, --out first, so an unwritable
     # --out leaves no dump behind (an unwritable dump path leaves --out
     # empty).  The dump is written part by part as the batch makes it, and
     # flushed before the summary row is written, so a dump that fails to
     # write leaves no summary.
-    try:
-        with _output(args.out) as out, (
-            _output(args.dump_runs) if args.dump_runs is not None else nullcontext()
-        ) as dump:
-            stats = simulate_batch(
-                args.k,
-                args.runs,
-                args.seed,
-                workers=_worker_processes(args.workers),
-                on_part=_dump_writer(dump) if dump is not None else None,
-            )
-            if dump is not None:
-                with _writing(dump):
-                    dump.flush()
-            row = {
-                "k": stats.k,
-                "nominal_N": 2**stats.k + 3,
-                "runs": stats.runs,
-                "seed": stats.master_seed,
-                "mean": stats.mean,
-                "std": stats.std,
-                "stderr": stats.stderr,
-                "min": stats.min,
-                "max": stats.max,
-            }
-            _write_rows([row], args.format, out)
-    except RuntimeError as exc:
-        # A failed batch or write leaves no output, though the dump may
-        # hold rows.
-        _remove_regular_files(args.out, args.dump_runs)
-        return _run_error(exc)
+    with _output(args.out) as out, (
+        _output(args.dump_runs) if args.dump_runs is not None else nullcontext()
+    ) as dump:
+        stats = simulate_batch(
+            args.k,
+            args.runs,
+            args.seed,
+            workers=_worker_processes(args.workers),
+            on_part=_dump_writer(dump) if dump is not None else None,
+        )
+        if dump is not None:
+            with _writing(dump):
+                dump.flush()
+        row = {
+            "k": stats.k,
+            "nominal_N": 2**stats.k + 3,
+            "runs": stats.runs,
+            "seed": stats.master_seed,
+            "mean": stats.mean,
+            "std": stats.std,
+            "stderr": stats.stderr,
+            "min": stats.min,
+            "max": stats.max,
+        }
+        _write_rows([row], args.format, out)
     return 0
 
 
@@ -361,33 +340,28 @@ def _cmd_verify_gate(args) -> int:
     for name, size in (("--n", args.n), ("--m", args.m)):
         if not 2 <= size <= 12:
             return _usage_error(f"{name} must be in 2..12, got {size}")
-    analytic, simulated, fidelities = verify_probabilities(args.n, args.m)
-    # Every float is an int true division, so it is that of the Fraction.
-    rows, exact = [], True
-    for branch in ("success", "recycle", "failure"):
-        an, ad = analytic[branch]
-        sn, sd = simulated[branch]
-        fn, fd = fidelities[branch]
-        deviation = abs(sn * ad - an * sd)
-        exact = exact and deviation == 0 and fn == fd
-        rows.append(
-            {
-                "N": args.n,
-                "M": args.m,
-                "branch": branch,
-                "analytic": an / ad,
-                "simulated": sn / sd,
-                "abs_error": deviation / (sd * ad),
-                "fidelity": fn / fd,
-            }
-        )
-    try:
-        with _output(args.out) as handle:
-            _write_rows(rows, args.format, handle)
-    except _WriteError as exc:
-        # A failed write leaves no truncated table.
-        _remove_regular_files(args.out)
-        return _run_error(exc)
+    with _output(args.out) as handle:
+        analytic, simulated, fidelities = verify_probabilities(args.n, args.m)
+        # Every float is an int true division, so it is that of the Fraction.
+        rows, exact = [], True
+        for branch in ("success", "recycle", "failure"):
+            an, ad = analytic[branch]
+            sn, sd = simulated[branch]
+            fn, fd = fidelities[branch]
+            deviation = abs(sn * ad - an * sd)
+            exact = exact and deviation == 0 and fn == fd
+            rows.append(
+                {
+                    "N": args.n,
+                    "M": args.m,
+                    "branch": branch,
+                    "analytic": an / ad,
+                    "simulated": sn / sd,
+                    "abs_error": deviation / (sd * ad),
+                    "fidelity": fn / fd,
+                }
+            )
+        _write_rows(rows, args.format, handle)
     return 0 if exact else 1
 
 
@@ -403,21 +377,14 @@ def _cmd_figure4(args) -> int:
     # k * runs, so every (stage, run) pair has a distinct stream.  Each stage
     # forks its own workers; a worker's fork, exit and wait take about 2 ms.
     workers = _worker_processes(args.workers)
-    # --out is opened before any cost or batch is computed, so that an
-    # unwritable path fails at once.
-    try:
-        with _output(args.out) as handle:
-            optimal_a, _ = optimal_costs(n_max)
-            batches = {
-                k: simulate_batch(k, args.runs, args.seed + k * args.runs, workers=workers)
-                for k in range(args.max_k + 1)
-            }
-            mc_rows = {2**k + 3: stats for k, stats in batches.items()}
-            _write_rows(_figure4_rows(n_max, optimal_a, mc_rows), args.format, handle)
-    except RuntimeError as exc:
-        # A failed batch or write leaves no output.
-        _remove_regular_files(args.out)
-        return _run_error(exc)
+    with _output(args.out) as handle:
+        optimal_a, _ = optimal_costs(n_max)
+        batches = {
+            k: simulate_batch(k, args.runs, args.seed + k * args.runs, workers=workers)
+            for k in range(args.max_k + 1)
+        }
+        mc_rows = {2**k + 3: stats for k, stats in batches.items()}
+        _write_rows(_figure4_rows(n_max, optimal_a, mc_rows), args.format, handle)
     return 0
 
 
@@ -511,12 +478,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
+    """Run the command of ``args`` under the one failure policy.
+
+    A ``RuntimeError`` (a failed batch or write) removes the regular files
+    of ``--out`` and ``--dump-runs``, never a device such as /dev/null.
+    Every command opens its outputs before anything can raise one, so the
+    files removed are ones it opened: a command must never delete an
+    existing file that it failed before opening.
+    """
     try:
         return args.func(args)
     except _OutputError as exc:
         return _usage_error(str(exc))
-    except _WriteError as exc:
-        return _run_error(exc)
+    except RuntimeError as exc:
+        for path in (args.out, getattr(args, "dump_runs", None)):
+            if path and os.path.isfile(path):
+                os.remove(path)
+        _print_error(exc)
+        return 1
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -325,16 +325,20 @@ class TestSimulateCommand:
         )
         assert not path.exists()
 
-    @pytest.mark.parametrize("via_symlink", [False, True])
+    # A hard link is one file under two real paths: the summary would
+    # overwrite the dump.
+    @pytest.mark.parametrize(
+        "make_link", [None, os.symlink, os.link], ids=["same-path", "symlink", "hardlink"]
+    )
     def test_out_and_dump_on_one_existing_file_is_usage_error(
-        self, capsys, tmp_path, via_symlink
+        self, capsys, tmp_path, make_link
     ):
         path = tmp_path / "both.csv"
         path.write_text("kept\n")
         other = path
-        if via_symlink:
+        if make_link is not None:
             other = tmp_path / "link.csv"
-            other.symlink_to(path)
+            make_link(path, other)
         argv = [
             "simulate", "--k", "0", "--runs", "3", "--seed", "1",
             "--dump-runs", str(path), "--out", str(other),
@@ -887,6 +891,21 @@ class TestWriteErrors:
         assert not out.exists()
 
     @needs_dev_full
+    def test_full_out_removes_the_written_dump(self, capsys, tmp_path):
+        # The dump is written and closed before --out fails on its close;
+        # the failed command still leaves no dump.
+        dump = tmp_path / "runs.csv"
+        argv = [
+            "simulate", "--k", "0", "--runs", "10", "--seed", "1",
+            "--out", DEV_FULL, "--dump-runs", str(dump),
+        ]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == FULL_ERROR
+        assert not dump.exists()
+
+    @needs_dev_full
     def test_full_stdout_exits_one(self):
         cmd = [sys.executable, "-m", "wfuse", "verify-gate", "--n", "3", "--m", "3"]
         with open(DEV_FULL, "wb") as full:
@@ -983,8 +1002,13 @@ class TestOutputPaths:
             ["cost", "--strategy", "optimal", "--target", "4000"],
             ["cost", "--strategy", "exponential", "--target", "4098"],
             ["figure4", "--max-k", "6", "--runs", "300", "--seed", "1"],
+            ["verify-gate", "--n", "12", "--m", "12"],
+            ["simulate", "--k", "6", "--runs", "300", "--seed", "1"],
         ],
-        ids=["linear", "linear-recycled", "optimal", "exponential", "figure4"],
+        ids=[
+            "linear", "linear-recycled", "optimal", "exponential", "figure4",
+            "verify-gate", "simulate",
+        ],
     )
     def test_unwritable_out_fails_before_any_work(self, capsys, monkeypatch, tmp_path, argv):
         def forbidden(*args, **kwargs):
@@ -992,7 +1016,7 @@ class TestOutputPaths:
 
         for name in (
             "optimal_costs", "linear_recycled_costs", "w3_linear_cost",
-            "exponential_cost", "simulate_batch",
+            "exponential_cost", "simulate_batch", "verify_probabilities",
         ):
             monkeypatch.setattr(wfuse.cli, name, forbidden)
         path = tmp_path / "missing" / "x.csv"
