@@ -14,13 +14,14 @@ reproduces it byte for byte.  Exit codes: 0 success, 1 verification
 failure, a Monte Carlo run over its step budget, a worker process that
 could not be started or that ended early, or an output that could not be
 written (a full disk, a closed pipe), 2 usage error, an output path that
-cannot be opened for writing included.
+cannot be opened for writing included, 130 interrupted (Ctrl-C).
 
 One failure policy holds for every command: each validates its flags,
 opens its outputs and only then computes.  A command whose batch or write
 fails removes the regular files it opened (``--out`` and ``--dump-runs``,
-never a device such as /dev/null) and exits 1; an output that cannot be
-opened exits 2 and removes nothing.
+never a device such as /dev/null; through a symlink, its target) and
+exits 1; an interrupted command removes them too and exits 130; an output
+that cannot be opened exits 2 and removes nothing.
 """
 
 from __future__ import annotations
@@ -69,6 +70,19 @@ _WORKERS_HELP = (
     "worker processes, at most the number of CPUs (default 1); "
     "the output does not depend on it"
 )
+# The columns of each table, in the order of the cells of its row tuples.
+_COST_HEADER = ("N", "strategy", "cost_exact_num", "cost_exact_den", "cost_float")
+_SIMULATE_HEADER = ("k", "nominal_N", "runs", "seed", "mean", "std", "stderr", "min", "max")
+_GATE_HEADER = ("N", "M", "branch", "analytic", "simulated", "abs_error", "fidelity")
+_FIGURE4_HEADER = (
+    "N",
+    *(
+        f"{strategy}_{cell}"
+        for strategy in ("linear", "linear_recycled", "optimal", "exponential")
+        for cell in ("num", "den", "float")
+    ),
+    *("mc_k", "mc_runs", "mc_mean", "mc_stderr"),
+)
 
 
 def _cell(value) -> str:
@@ -79,24 +93,29 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_lines(rows: Iterable[dict]) -> Iterator[str]:
-    header = None
+def _csv_lines(header: tuple, rows: Iterable[tuple]) -> Iterator[str]:
+    yield ",".join(header) + "\n"
     for row in rows:
-        if header is None:
-            header = list(row)
-            yield ",".join(header) + "\n"
-        yield ",".join(_cell(row[key]) for key in header) + "\n"
+        yield ",".join(map(_cell, row)) + "\n"
 
 
 class _OutputError(Exception):
     """An output path that cannot be opened for writing."""
 
 
+# The real paths of the files the running command has opened, which _run
+# removes when the command fails.
+_opened: list[str] = []
+
+
 def _open_output(path: str):
     try:
-        return open(path, "w", newline="")
+        handle = open(path, "w", newline="")
     except OSError as exc:
         raise _OutputError(f"cannot write {path}: {exc.strerror}") from None
+    # Through a symlink, the file written is the link's target.
+    _opened.append(os.path.realpath(path))
+    return handle
 
 
 @contextmanager
@@ -135,10 +154,11 @@ def _output(path: Optional[str]):
             handle.close()
 
 
-def _json_lines(rows: Iterable[dict]) -> Iterator[str]:
-    """The text of ``json.dumps(list(rows), indent=2) + "\n"``, row by row.
+def _json_lines(header: tuple, rows: Iterable[tuple]) -> Iterator[str]:
+    """The text of ``json.dumps([dict(zip(header, row)) for row in rows],
+    indent=2) + "\n"``, row by row.
 
-    A row is a flat dict, and ``json.dumps`` escapes every newline inside a
+    A row is flat, and ``json.dumps`` escapes every newline inside a
     string, so indenting each line of its own dump nests it in the list.
     """
     import json  # only here: most commands never load it
@@ -146,21 +166,25 @@ def _json_lines(rows: Iterable[dict]) -> Iterator[str]:
     encode = json.JSONEncoder(indent=2).encode  # what json.dumps(indent=2) uses
     separator = "[\n  "
     for row in rows:
-        yield separator + encode(row).replace("\n", "\n  ")
+        yield separator + encode(dict(zip(header, row))).replace("\n", "\n  ")
         separator = ",\n  "
     yield "[]\n" if separator == "[\n  " else "\n]\n"
 
 
-def _write_rows(rows: Iterable[dict], fmt: str, handle) -> None:
-    """Write ``rows`` (dicts with the same keys) to the open ``handle``.
+def _write_rows(header: tuple, rows: Iterable[tuple], fmt: str, handle) -> None:
+    """Write ``rows``, tuples of the cells under ``header``, to the open
+    ``handle``.
 
     Both formats are written row by row as ``rows`` yields them, so a
     generator of rows never has the whole table in memory: the 24 MB linear
     table of ``cost --target 10000`` peaks at about 15.5 MB of resident memory
-    in CSV and in JSON (27 and 116 MB when it was built whole first).
+    in CSV and in JSON (27 and 116 MB when it was built whole first).  A CSV
+    table of no rows would be its header line alone, but every command
+    writes at least one row.
     """
+    lines = _csv_lines if fmt == "csv" else _json_lines
     with _writing(handle):
-        handle.writelines(_csv_lines(rows) if fmt == "csv" else _json_lines(rows))
+        handle.writelines(lines(header, rows))
 
 
 def _print_error(message) -> None:
@@ -190,39 +214,22 @@ def _worker_processes(requested: int) -> int:
     return min(requested, cpus)
 
 
-def _exact_cells(a: int, den: int) -> tuple[str, str, Optional[float]]:
+def _exact_cells(a: Optional[int], den: int) -> tuple:
     """The cells of the cost ``a / den``: its numerator and denominator in
     lowest terms, and its float, or None (an empty cell) beyond the float
-    range.
+    range.  All three are None when ``a`` is.
 
     Int true division rounds correctly, so the float is that of the
     ``Fraction`` and overflows where it does.
     """
+    if a is None:
+        return None, None, None
     divisor = gcd(a, den)
     try:
         value = a / den
     except OverflowError:
         value = None
     return str(a // divisor), str(den // divisor), value
-
-
-def _rational_cells(prefix: str, a: Optional[int], den: int) -> dict:
-    """The num, den and float cells of ``a / den``, all None when ``a`` is."""
-    cells = (None, None, None) if a is None else _exact_cells(a, den)
-    return dict(zip((f"{prefix}_num", f"{prefix}_den", f"{prefix}_float"), cells))
-
-
-def _cost_rows(strategy: str, pairs) -> Iterator[dict]:
-    """The rows of `cost` from (index n, normalized cost a(n)) pairs."""
-    for n, a in pairs:
-        num, den, value = _exact_cells(a, n + 2)
-        yield {
-            "N": n + 2,
-            "strategy": strategy,
-            "cost_exact_num": num,
-            "cost_exact_den": den,
-            "cost_float": value,
-        }
 
 
 def _cmd_cost(args) -> int:
@@ -249,7 +256,8 @@ def _cmd_cost(args) -> int:
         else:
             levels = range(n_max.bit_length())
             pairs = ((2**level, exponential_cost(level)) for level in levels)
-        _write_rows(_cost_rows(args.strategy, pairs), args.format, handle)
+        rows = ((n + 2, args.strategy, *_exact_cells(a, n + 2)) for n, a in pairs)
+        _write_rows(_COST_HEADER, rows, args.format, handle)
     return 0
 
 
@@ -285,13 +293,21 @@ def _dump_writer(handle):
     return write_part
 
 
-def _cmd_simulate(args) -> int:
-    if not 0 <= args.k <= _MAX_K:
-        return _usage_error(f"--k must be in 0..{_MAX_K}, got {args.k}")
+def _batch_flags_error(stage_flag: str, stage: int, args) -> Optional[str]:
+    """The usage error of a Monte Carlo command's stage bound, ``--runs`` or
+    ``--workers``, checked in that order, or None when all three hold."""
+    if not 0 <= stage <= _MAX_K:
+        return f"{stage_flag} must be in 0..{_MAX_K}, got {stage}"
     if args.runs < 1:
-        return _usage_error(f"--runs must be >= 1, got {args.runs}")
+        return f"--runs must be >= 1, got {args.runs}"
     if args.workers < 1:
-        return _usage_error(f"--workers must be >= 1, got {args.workers}")
+        return f"--workers must be >= 1, got {args.workers}"
+    return None
+
+
+def _cmd_simulate(args) -> int:
+    if error := _batch_flags_error("--k", args.k, args):
+        return _usage_error(error)
     if args.out and args.dump_runs:
         path = os.path.realpath(args.out)
         same = path == os.path.realpath(args.dump_runs)
@@ -321,18 +337,9 @@ def _cmd_simulate(args) -> int:
         if dump is not None:
             with _writing(dump):
                 dump.flush()
-        row = {
-            "k": stats.k,
-            "nominal_N": 2**stats.k + 3,
-            "runs": stats.runs,
-            "seed": stats.master_seed,
-            "mean": stats.mean,
-            "std": stats.std,
-            "stderr": stats.stderr,
-            "min": stats.min,
-            "max": stats.max,
-        }
-        _write_rows([row], args.format, out)
+        # The fields of BatchStats after k are the columns after nominal_N.
+        row = (stats.k, 2**stats.k + 3, *stats[1:])
+        _write_rows(_SIMULATE_HEADER, [row], args.format, out)
     return 0
 
 
@@ -350,28 +357,14 @@ def _cmd_verify_gate(args) -> int:
             fn, fd = fidelities[branch]
             deviation = abs(sn * ad - an * sd)
             exact = exact and deviation == 0 and fn == fd
-            rows.append(
-                {
-                    "N": args.n,
-                    "M": args.m,
-                    "branch": branch,
-                    "analytic": an / ad,
-                    "simulated": sn / sd,
-                    "abs_error": deviation / (sd * ad),
-                    "fidelity": fn / fd,
-                }
-            )
-        _write_rows(rows, args.format, handle)
+            rows.append((args.n, args.m, branch, an / ad, sn / sd, deviation / (sd * ad), fn / fd))
+        _write_rows(_GATE_HEADER, rows, args.format, handle)
     return 0 if exact else 1
 
 
 def _cmd_figure4(args) -> int:
-    if not 0 <= args.max_k <= _MAX_K:
-        return _usage_error(f"--max-k must be in 0..{_MAX_K}, got {args.max_k}")
-    if args.runs < 1:
-        return _usage_error(f"--runs must be >= 1, got {args.runs}")
-    if args.workers < 1:
-        return _usage_error(f"--workers must be >= 1, got {args.workers}")
+    if error := _batch_flags_error("--max-k", args.max_k, args):
+        return _usage_error(error)
     n_max = 2**args.max_k + 1
     # Stage k reuses the per-run seed derivation with run indices offset by
     # k * runs, so every (stage, run) pair has a distinct stream.  Each stage
@@ -384,27 +377,25 @@ def _cmd_figure4(args) -> int:
             for k in range(args.max_k + 1)
         }
         mc_rows = {2**k + 3: stats for k, stats in batches.items()}
-        _write_rows(_figure4_rows(n_max, optimal_a, mc_rows), args.format, handle)
+        _write_rows(_FIGURE4_HEADER, _figure4_rows(n_max, optimal_a, mc_rows), args.format, handle)
     return 0
 
 
-def _figure4_rows(n_max: int, optimal_a: list, mc_rows: dict) -> Iterator[dict]:
+def _figure4_rows(n_max: int, optimal_a: list, mc_rows: dict) -> Iterator[tuple]:
     """The rows of `figure4` for indices 1..n_max, from the optimal DP's
     normalized costs and the batch statistics keyed by actual size."""
     for n in range(1, n_max + 1):
         size = n + 2
-        row = {"N": size}
-        row.update(_rational_cells("linear", w3_linear_cost(n), size))
-        row.update(_rational_cells("linear_recycled", linear_recycled_costs(n), size))
-        row.update(_rational_cells("optimal", optimal_a[n], size))
         exp_a = exponential_cost(n.bit_length() - 1) if n & (n - 1) == 0 else None
-        row.update(_rational_cells("exponential", exp_a, size))
         stats = mc_rows.get(size)
-        row["mc_k"] = stats.k if stats else None
-        row["mc_runs"] = stats.runs if stats else None
-        row["mc_mean"] = stats.mean if stats else None
-        row["mc_stderr"] = stats.stderr if stats else None
-        yield row
+        yield (
+            size,
+            *_exact_cells(w3_linear_cost(n), size),
+            *_exact_cells(linear_recycled_costs(n), size),
+            *_exact_cells(optimal_a[n], size),
+            *_exact_cells(exp_a, size),
+            *((stats.k, stats.runs, stats.mean, stats.stderr) if stats else (None,) * 4),
+        )
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -480,20 +471,24 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     """Run the command of ``args`` under the one failure policy.
 
-    A ``RuntimeError`` (a failed batch or write) removes the regular files
-    of ``--out`` and ``--dump-runs``, never a device such as /dev/null.
-    Every command opens its outputs before anything can raise one, so the
-    files removed are ones it opened: a command must never delete an
-    existing file that it failed before opening.
+    A ``RuntimeError`` (a failed batch or write) or a ``KeyboardInterrupt``
+    (Ctrl-C) removes the regular files the command opened, never a device
+    such as /dev/null, and a symlink's target rather than the link.  Only
+    files it opened are removed: a command must never delete an existing
+    file that it failed, or was interrupted, before opening.
     """
+    _opened.clear()
     try:
         return args.func(args)
     except _OutputError as exc:
         return _usage_error(str(exc))
-    except RuntimeError as exc:
-        for path in (args.out, getattr(args, "dump_runs", None)):
-            if path and os.path.isfile(path):
+    except (RuntimeError, KeyboardInterrupt) as exc:
+        for path in _opened:
+            if os.path.isfile(path):
                 os.remove(path)
+        if isinstance(exc, KeyboardInterrupt):
+            _print_error("interrupted")
+            return 130
         _print_error(exc)
         return 1
 

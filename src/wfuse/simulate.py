@@ -93,9 +93,8 @@ DEFAULT_STEP_BUDGET = 10**9
 # Most runs in one range of a batch.  A range's part is two arrays of 8
 # bytes per run, so a batch holds a few of them (16 KiB each) whatever its
 # run count, and a forked worker writes a part as an 8-byte count and
-# 32 KiB, half a Linux pipe buffer.  With several workers, ranges are
-# smaller below 8 * workers * _RANGE_CAP runs, so that each worker makes
-# about eight.
+# 32 KiB, half a Linux pipe buffer.  With several workers, a batch is cut
+# into ranges of equal size, eight or more per worker.
 _RANGE_CAP = 2**11
 
 
@@ -558,8 +557,8 @@ def simulate_batch(
     The runs are made in ranges of at most :data:`_RANGE_CAP` runs, and
     each range's part is folded into the statistics as it arrives and then
     dropped, so memory does not grow with ``runs``.  With ``workers > 1``
-    and ``os.fork`` available, ``workers`` forked processes make about
-    eight ranges each and stream their parts back over pipes; they are all
+    and ``os.fork`` available, ``workers`` forked processes make eight or
+    more ranges each and stream their parts back over pipes; they are all
     reaped before this function returns or raises.  Without ``os.fork``
     the batch runs in this process.  When ``on_part`` is given it is called
     with every part, in run order, as ``on_part(costs, final_sizes)``: two
@@ -574,9 +573,10 @@ def simulate_batch(
     # A worker beyond the run count would have no range to make.
     workers = min(workers, runs)
     if workers > 1 and hasattr(os, "fork"):
-        # About eight ranges per worker, so that the workers finish together.
-        step = min(-(-runs // (8 * workers)), _RANGE_CAP)
-        parts = _forked_parts(k, master_seed, runs, step, workers)
+        # The same number of ranges per worker, at least eight, all of one
+        # size but the last, so that the workers finish together.
+        ranges = workers * max(8, -(-runs // (workers * _RANGE_CAP)))
+        parts = _forked_parts(k, master_seed, runs, -(-runs // ranges), workers)
     else:
         parts = (_run_range(args) for args in _ranges(k, master_seed, runs, _RANGE_CAP))
     total = total_sq = 0

@@ -3,8 +3,10 @@ import hashlib
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
@@ -115,19 +117,31 @@ class TestCostCommand:
         assert captured.out == ""
         assert captured.err.startswith("wfuse: error: --target must be")
 
-    def test_json_mirrors_csv_fields(self, capsys):
-        code, csv_out = run_cli(capsys, "cost", "--strategy", "optimal", "--target", "4")
-        code, json_out = run_cli(
-            capsys, "cost", "--strategy", "optimal", "--target", "4",
-            "--format", "json",
-        )
+    @pytest.mark.parametrize(
+        "argv, last",
+        [
+            (
+                ["cost", "--strategy", "optimal", "--target", "4"],
+                {"cost_exact_num": "9", "cost_float": 4.5},
+            ),
+            (["simulate", "--k", "1", "--runs", "5", "--seed", "2"], {"k": 1, "runs": 5}),
+            (["verify-gate", "--n", "3", "--m", "4"], {"branch": "failure", "fidelity": 1.0}),
+            (
+                ["figure4", "--max-k", "1", "--runs", "5", "--seed", "2"],
+                {"N": 5, "mc_k": 1, "exponential_num": None},
+            ),
+        ],
+        ids=["cost", "simulate", "verify-gate", "figure4"],
+    )
+    def test_json_mirrors_csv_fields(self, capsys, argv, last):
+        code, csv_out = run_cli(capsys, *argv)
+        code, json_out = run_cli(capsys, *argv, "--format", "json")
         csv_rows = parse_csv(csv_out)
         json_rows = json.loads(json_out)
         assert [list(r.keys()) for r in json_rows] == [
             list(r.keys()) for r in csv_rows
         ]
-        assert json_rows[-1]["cost_exact_num"] == "9"
-        assert json_rows[-1]["cost_float"] == 4.5
+        assert {key: json_rows[-1][key] for key in last} == last
 
     def test_costs_beyond_float_range_keep_exact_cells(self, capsys):
         code, out = run_cli(
@@ -280,11 +294,9 @@ class TestSimulateCommand:
         parts = []
         simulate_batch(0, 25, 3, on_part=lambda *part: parts.append(part))
         ((costs, sizes),) = parts
-        rows = (
-            {"run": i, "cost": cost, "final_N": size + 2}
-            for i, (cost, size) in enumerate(zip(costs, sizes))
-        )
-        assert path.read_bytes() == "".join(_csv_lines(rows)).encode()
+        rows = ((i, cost, size + 2) for i, (cost, size) in enumerate(zip(costs, sizes)))
+        header = ("run", "cost", "final_N")
+        assert path.read_bytes() == "".join(_csv_lines(header, rows)).encode()
 
     def test_unwritable_dump_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "missing" / "d.csv"
@@ -648,7 +660,8 @@ class TestVerifyGateCommand:
                 capsys, "verify-gate", "--n", str(n), "--m", str(m), "--format", fmt
             )
             assert code == 0
-            assert out == "".join(render(rows)), (n, m)
+            header = tuple(rows[0])
+            assert out == "".join(render(header, [tuple(r.values()) for r in rows])), (n, m)
 
     def test_out_of_range_sizes(self, capsys):
         assert main(["verify-gate", "--n", "13", "--m", "3"]) == 2
@@ -806,20 +819,23 @@ class TestStreamedOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
 
     @pytest.mark.parametrize(
-        "rows",
+        "header, rows",
         [
-            [],
-            [{"N": 3}],
-            [
-                {"a": None, "b": 1.5, "c": "x\ny \"z\"", "d": float("inf")},
-                {"a": 7, "b": -0.0, "c": "", "d": float("nan")},
-            ],
+            (("N",), []),
+            (("N",), [(3,)]),
+            (
+                ("a", "b", "c", "d"),
+                [
+                    (None, 1.5, "x\ny \"z\"", float("inf")),
+                    (7, -0.0, "", float("nan")),
+                ],
+            ),
         ],
         ids=["no-rows", "one-row", "special-cells"],
     )
-    def test_json_lines_match_json_dumps(self, rows):
-        text = "".join(_json_lines(iter(rows)))
-        assert text == json.dumps(rows, indent=2) + "\n"
+    def test_json_lines_match_json_dumps(self, header, rows):
+        text = "".join(_json_lines(header, iter(rows)))
+        assert text == json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_cost_table_memory_stays_flat(self, tmp_path, fmt):
@@ -931,20 +947,26 @@ class TestWriteErrors:
 
     @pytest.mark.skipif(sys.platform == "win32", reason="no file size limit on Windows")
     @pytest.mark.parametrize(
-        "argv",
+        "argv, via_symlink",
         [
-            ["cost", "--strategy", "linear", "--target", "3000"],
-            ["cost", "--strategy", "optimal", "--target", "10", "--format", "json"],
-            ["verify-gate", "--n", "12", "--m", "12"],
-            ["figure4", "--max-k", "1", "--runs", "5", "--seed", "1"],
+            (["cost", "--strategy", "linear", "--target", "3000"], False),
+            (["cost", "--strategy", "optimal", "--target", "10", "--format", "json"], False),
+            (["verify-gate", "--n", "12", "--m", "12"], False),
+            (["figure4", "--max-k", "1", "--runs", "5", "--seed", "1"], False),
+            (["cost", "--strategy", "linear", "--target", "3000"], True),
         ],
-        ids=["cost-large", "cost-small", "verify-gate", "figure4"],
+        ids=["cost-large", "cost-small", "verify-gate", "figure4", "symlink"],
     )
-    def test_file_too_large_removes_out(self, tmp_path, argv):
+    def test_file_too_large_removes_out(self, tmp_path, argv, via_symlink):
         # Under a 100-byte file size limit the large table fails while it is
         # written, the small outputs when the file is closed; either way no
-        # truncated file is left behind.
+        # truncated file is left behind.  Through a symlink, the truncated
+        # file is the link's target, and the link is left as it was made.
         path = tmp_path / "table.out"
+        if via_symlink:
+            target = tmp_path / "real.csv"
+            target.write_text("an earlier table\n")
+            path.symlink_to(target)
         limited = (
             "import resource, sys\n"
             "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
@@ -958,6 +980,50 @@ class TestWriteErrors:
         assert done.stdout == b""
         assert done.stderr == f"wfuse: error: cannot write {path}: File too large\n".encode()
         assert not path.exists()
+        assert path.is_symlink() == via_symlink
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="no process groups on Windows")
+    def test_interrupt_removes_outputs(self, tmp_path):
+        # Ctrl-C reaches the whole process group, the workers included, once
+        # the dump holds rows: the command exits 130 with one error line and
+        # leaves no file and no process behind.
+        dump, out = tmp_path / "d.csv", tmp_path / "o.csv"
+        cmd = [
+            sys.executable, "-m", "wfuse", "simulate", "--k", "3", "--runs", "200000",
+            "--seed", "1", "--workers", "2", "--dump-runs", str(dump), "--out", str(out),
+        ]
+        with subprocess.Popen(
+            cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
+            start_new_session=True,
+        ) as proc:
+            deadline = time.monotonic() + 60
+            while not (dump.exists() and dump.stat().st_size):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            os.killpg(proc.pid, signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 130
+        assert stdout == b""
+        assert stderr == b"wfuse: error: interrupted\n"
+        assert not dump.exists() and not out.exists()
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+    def test_interrupt_before_open_keeps_existing_out(self, capsys, monkeypatch, tmp_path):
+        # `figure4` counts its workers before it opens --out: Ctrl-C there
+        # leaves the file the command never opened as it was.
+        def interrupt(requested):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(wfuse.cli, "_worker_processes", interrupt)
+        path = tmp_path / "table.csv"
+        path.write_text("an earlier table\n")
+        argv = ["figure4", "--max-k", "1", "--runs", "5", "--seed", "1", "--out", str(path)]
+        assert main(argv) == 130
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "wfuse: error: interrupted\n"
+        assert path.read_text() == "an earlier table\n"
 
     def test_closed_stdout_pipe_exits_one(self):
         # The table is 2.2 MB, far more than a pipe holds, so the command is

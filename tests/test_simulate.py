@@ -6,6 +6,7 @@ import time
 import tracemalloc
 import weakref
 from array import array
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import islice, product, repeat
@@ -526,12 +527,35 @@ class TestBatches:
         assert batch[1] == costs[:200] and batch[3] == [5] * 40
 
     def test_worker_parts_reach_the_cap_and_no_further(self):
-        # 16 * _RANGE_CAP + 5 runs at 2 workers: about eight ranges per
-        # worker would be _RANGE_CAP + 1 runs each, so the cap sets them.
-        runs = 16 * _RANGE_CAP + 5
-        stats, costs, sizes, lengths = run_batch(0, runs, 23, workers=2)
-        assert lengths == [_RANGE_CAP] * 16 + [5]
-        assert (stats, costs, sizes) == run_batch(0, runs, 23, workers=1)[:3]
+        # 16 * _RANGE_CAP runs at 2 workers are eight ranges of the cap per
+        # worker; 5 runs more, nine ranges of 1,821 runs per worker (the
+        # last 1,816), not 16 of the cap and one of 5.
+        for runs, expected in (
+            (16 * _RANGE_CAP, [_RANGE_CAP] * 16),
+            (16 * _RANGE_CAP + 5, [1821] * 17 + [1816]),
+        ):
+            stats, costs, sizes, lengths = run_batch(0, runs, 23, workers=2)
+            assert lengths == expected
+            assert (stats, costs, sizes) == run_batch(0, runs, 23, workers=1)[:3]
+
+    def test_workers_make_equal_shares(self, monkeypatch):
+        # Each part's final sizes are replaced by the pid of the worker that
+        # made it.  100,000 runs at 2 workers are 50 ranges of 2,000 runs;
+        # 33 * _RANGE_CAP runs, which ranges of the cap would share out 17
+        # to 16, are 34 ranges.  Either way the workers' run totals differ
+        # by less than one range.
+        run_range = wfuse.simulate._run_range
+
+        def tagged(args):
+            part_costs, _ = run_range(args)
+            return part_costs, array("q", [os.getpid()]) * len(part_costs)
+
+        monkeypatch.setattr(wfuse.simulate, "_run_range", tagged)
+        for runs, ranges in ((100_000, 50), (33 * _RANGE_CAP, 34)):
+            _, _, pids, lengths = run_batch(0, runs, 3, workers=2)
+            assert len(lengths) == ranges and len(set(lengths[:-1])) == 1
+            totals = Counter(pids).values()
+            assert len(totals) == 2 and max(totals) - min(totals) < lengths[0], totals
 
     def test_an_error_kills_the_workers_before_their_other_ranges(self, monkeypatch, tmp_path):
         # Range 0 fails at once.  Worker 1's ranges append a byte per run to
