@@ -7,6 +7,11 @@ Subcommands:
 * ``verify-gate`` amplitude-level check of the gate against closed forms;
 * ``figure4``     combined table of all strategy curves plus MC means.
 
+``cost`` and ``figure4`` share one list of strategies, ``_STRATEGIES``: the
+``--strategy`` choices, the ``figure4`` columns and the cost of each row
+all come from it.  Its entries look the layer functions up in this module
+when a table is made, not when it is imported.
+
 The CLI speaks in actual photon counts (``N >= 3``); conversion to the
 library's additive index ``n = N - 2`` happens only here.  Every output is
 a pure function of the flag set, seeds included: rerunning a command
@@ -38,7 +43,8 @@ from typing import Iterable, Iterator, Optional
 # command builds a Fraction or loads fractions, decimal and numbers.  They
 # keep the names of the Fraction functions because the benchmark's tracer
 # (perfbench/tracing.py) times the layer calls made through these five
-# names of ``wfuse.cli``.
+# names of ``wfuse.cli``; _STRATEGIES and the commands look them up here
+# when a table is made, so that a swapped name is the one called.
 from .growth_costs import (
     exponential_normalized_cost as exponential_cost,
     linear_recycled_normalized_cost as linear_recycled_costs,
@@ -47,6 +53,7 @@ from .growth_costs import (
 from .optimal import optimal_normalized_costs as optimal_costs
 from .gate import verify_weights as verify_probabilities
 from .simulate import simulate_batch
+from .fusion_model import BRANCHES
 
 _FLOAT_FMT = ".17g"
 # Largest stage k that `simulate --k` and `figure4 --max-k` accept: the
@@ -74,11 +81,23 @@ _WORKERS_HELP = (
 _COST_HEADER = ("N", "strategy", "cost_exact_num", "cost_exact_den", "cost_float")
 _SIMULATE_HEADER = ("k", "nominal_N", "runs", "seed", "mean", "std", "stderr", "min", "max")
 _GATE_HEADER = ("N", "M", "branch", "analytic", "simulated", "abs_error", "fidelity")
+# The growth strategies of `cost --strategy`, in the order of the `figure4`
+# columns: each maps n_max to the normalized costs a(n) = (n+2) R(n) of
+# n = 1..n_max, None where the strategy reaches no w_n.
+_STRATEGIES = {
+    "linear": lambda n_max: map(w3_linear_cost, range(1, n_max + 1)),
+    "linear-recycled": lambda n_max: map(linear_recycled_costs, range(1, n_max + 1)),
+    "optimal": lambda n_max: optimal_costs(n_max)[0][1:],
+    "exponential": lambda n_max: (
+        None if n & (n - 1) else exponential_cost(n.bit_length() - 1)
+        for n in range(1, n_max + 1)
+    ),
+}
 _FIGURE4_HEADER = (
     "N",
     *(
-        f"{strategy}_{cell}"
-        for strategy in ("linear", "linear_recycled", "optimal", "exponential")
+        f"{strategy.replace('-', '_')}_{cell}"
+        for strategy in _STRATEGIES
         for cell in ("num", "den", "float")
     ),
     *("mc_k", "mc_runs", "mc_mean", "mc_stderr"),
@@ -103,7 +122,7 @@ class _OutputError(Exception):
     """An output path that cannot be opened for writing."""
 
 
-# The real paths of the files the running command has opened, which _run
+# The real paths of the files the running command has opened, which main
 # removes when the command fails.
 _opened: list[str] = []
 
@@ -245,18 +264,11 @@ def _cmd_cost(args) -> int:
             f"of two; N = {target} is not one"
         )
     with _output(args.out) as handle:
-        # (index, normalized cost) pairs, made as the rows are written.
-        indices = range(1, n_max + 1)
-        if args.strategy == "linear":
-            pairs = ((n, w3_linear_cost(n)) for n in indices)
-        elif args.strategy == "linear-recycled":
-            pairs = ((n, linear_recycled_costs(n)) for n in indices)
-        elif args.strategy == "optimal":
-            pairs = zip(indices, optimal_costs(n_max)[0][1:])
-        else:
-            levels = range(n_max.bit_length())
-            pairs = ((2**level, exponential_cost(level)) for level in levels)
-        rows = ((n + 2, args.strategy, *_exact_cells(a, n + 2)) for n, a in pairs)
+        # The costs are made as the rows are written.
+        costs = enumerate(_STRATEGIES[args.strategy](n_max), 1)
+        rows = (
+            (n + 2, args.strategy, *_exact_cells(a, n + 2)) for n, a in costs if a is not None
+        )
         _write_rows(_COST_HEADER, rows, args.format, handle)
     return 0
 
@@ -351,7 +363,7 @@ def _cmd_verify_gate(args) -> int:
         analytic, simulated, fidelities = verify_probabilities(args.n, args.m)
         # Every float is an int true division, so it is that of the Fraction.
         rows, exact = [], True
-        for branch in ("success", "recycle", "failure"):
+        for branch in BRANCHES:
             an, ad = analytic[branch]
             sn, sd = simulated[branch]
             fn, fd = fidelities[branch]
@@ -371,29 +383,27 @@ def _cmd_figure4(args) -> int:
     # forks its own workers; a worker's fork, exit and wait take about 2 ms.
     workers = _worker_processes(args.workers)
     with _output(args.out) as handle:
-        optimal_a, _ = optimal_costs(n_max)
+        # Made before the batches, so the optimal DP runs first; the other
+        # columns yield their costs as the rows are written.
+        columns = [strategy(n_max) for strategy in _STRATEGIES.values()]
         batches = {
             k: simulate_batch(k, args.runs, args.seed + k * args.runs, workers=workers)
             for k in range(args.max_k + 1)
         }
         mc_rows = {2**k + 3: stats for k, stats in batches.items()}
-        _write_rows(_FIGURE4_HEADER, _figure4_rows(n_max, optimal_a, mc_rows), args.format, handle)
+        _write_rows(_FIGURE4_HEADER, _figure4_rows(columns, mc_rows), args.format, handle)
     return 0
 
 
-def _figure4_rows(n_max: int, optimal_a: list, mc_rows: dict) -> Iterator[tuple]:
-    """The rows of `figure4` for indices 1..n_max, from the optimal DP's
-    normalized costs and the batch statistics keyed by actual size."""
-    for n in range(1, n_max + 1):
-        size = n + 2
-        exp_a = exponential_cost(n.bit_length() - 1) if n & (n - 1) == 0 else None
+def _figure4_rows(columns: list, mc_rows: dict) -> Iterator[tuple]:
+    """The rows of `figure4`, one per index n = 1, 2, ...: the cells of each
+    strategy's column of normalized costs, then the batch statistics keyed
+    by actual size."""
+    for size, costs in enumerate(zip(*columns), 3):
         stats = mc_rows.get(size)
         yield (
             size,
-            *_exact_cells(w3_linear_cost(n), size),
-            *_exact_cells(linear_recycled_costs(n), size),
-            *_exact_cells(optimal_a[n], size),
-            *_exact_cells(exp_a, size),
+            *(cell for a in costs for cell in _exact_cells(a, size)),
             *((stats.k, stats.runs, stats.mean, stats.stderr) if stats else (None,) * 4),
         )
 
@@ -418,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     cost.add_argument(
         "--strategy",
         required=True,
-        choices=("linear", "linear-recycled", "optimal", "exponential"),
+        choices=tuple(_STRATEGIES),
     )
     cost.add_argument(
         "--target",
@@ -468,17 +478,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args) -> int:
-    """Run the command of ``args`` under the one failure policy.
+def main(argv: Optional[list[str]] = None) -> int:
+    """Parse ``argv`` and run its command under the one failure policy.
 
     A ``RuntimeError`` (a failed batch or write) or a ``KeyboardInterrupt``
-    (Ctrl-C) removes the regular files the command opened, never a device
-    such as /dev/null, and a symlink's target rather than the link.  Only
-    files it opened are removed: a command must never delete an existing
-    file that it failed, or was interrupted, before opening.
+    (Ctrl-C, while the flags are parsed too) removes the regular files the
+    command opened, never a device such as /dev/null, and a symlink's
+    target rather than the link.  Only files it opened are removed: a
+    command must never delete an existing file that it failed, or was
+    interrupted, before opening.
     """
     _opened.clear()
+    # Exact costs pass the default 4300-digit cap on int -> str conversion
+    # (linear growth at N = 9014): the cap is lifted while the command
+    # runs, not while its flags are parsed.
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
+        args = build_parser().parse_args(argv)
+        if cap is not None:
+            sys.set_int_max_str_digits(0)
         return args.func(args)
     except _OutputError as exc:
         return _usage_error(str(exc))
@@ -491,20 +509,9 @@ def _run(args) -> int:
             return 130
         _print_error(exc)
         return 1
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return _run(args)
-    # Exact costs pass the default 4300-digit cap on int -> str conversion
-    # (linear growth at N = 9014); lift it while this command runs.
-    cap = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return _run(args)
     finally:
-        sys.set_int_max_str_digits(cap)
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -1025,6 +1025,39 @@ class TestWriteErrors:
         assert captured.err == "wfuse: error: interrupted\n"
         assert path.read_text() == "an earlier table\n"
 
+    def test_interrupt_while_parsing_exits_130(self, capsys, monkeypatch):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(wfuse.cli, "build_parser", interrupt)
+        try:
+            code = main(["cost", "--strategy", "optimal", "--target", "10"])
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped main")
+        assert code == 130
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "wfuse: error: interrupted\n"
+
+    def test_interrupt_while_importing_exits_130(self, tmp_path):
+        # Ctrl-C while `python -m wfuse` loads the CLI's modules, made here
+        # by an import hook that sitecustomize installs at start-up.
+        (tmp_path / "sitecustomize.py").write_text(
+            "import sys\n"
+            "class Interrupt:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'wfuse.cli':\n"
+            "            raise KeyboardInterrupt\n"
+            "sys.meta_path.insert(0, Interrupt())\n"
+        )
+        env = module_env()
+        env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), env["PYTHONPATH"]])
+        cmd = [sys.executable, "-m", "wfuse", "cost", "--strategy", "optimal", "--target", "10"]
+        done = subprocess.run(cmd, capture_output=True, env=env)
+        assert done.returncode == 130
+        assert done.stdout == b""
+        assert done.stderr == b"wfuse: error: interrupted\n"
+
     def test_closed_stdout_pipe_exits_one(self):
         # The table is 2.2 MB, far more than a pipe holds, so the command is
         # still writing when the reader goes.
@@ -1159,6 +1192,33 @@ class TestStartup:
             "exponential_cost", "verify_probabilities", "simulate_batch",
         ):
             assert callable(getattr(wfuse.cli, name)), name
+
+    def test_layer_calls_go_through_the_cli_names(self, capsys, monkeypatch):
+        # The benchmark's tracer swaps these names of wfuse.cli for timing
+        # wrappers, so every command must look them up when it makes a
+        # table; a function bound at import would escape the wrapper.
+        called = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                called[name] = called.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        growth = {"optimal_costs", "linear_recycled_costs", "w3_linear_cost", "exponential_cost"}
+        for name in growth | {"verify_probabilities"}:
+            monkeypatch.setattr(wfuse.cli, name, counting(name, getattr(wfuse.cli, name)))
+        for strategy in wfuse.cli._STRATEGIES:
+            assert main(["cost", "--strategy", strategy, "--target", "10"]) == 0
+        assert set(called) == growth
+        called.clear()
+        assert main(["figure4", "--max-k", "2", "--runs", "5", "--seed", "1"]) == 0
+        assert set(called) == growth
+        called.clear()
+        assert main(["verify-gate", "--n", "3", "--m", "4"]) == 0
+        assert set(called) == {"verify_probabilities"}
+        capsys.readouterr()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("workers", ["1", "2"])
