@@ -21,15 +21,41 @@ Two conventions the outcome probabilities do not fix are pinned here for
 reproducibility: buckets are FIFO queues and a fusion always consumes the
 two *earliest-inserted* states (recycled parts re-enter in operand order,
 older first), and after a recyclable outcome the pointer stays put, letting
-step 2 walk it down as needed.  No bucket has been seen to hold more than
-two states: the test suite enumerates every reachable fusion-time
-configuration through k = 6 (32,064 chain states at k = 6) and finds no
-third state, and neither do 913,369 sampled trace steps at k = 7 and 8.
-The suite also asserts the bound at every trace step it checks, on runs
-at every k up to 8.  The exact oracle, :func:`exact_expected_cost`, solves
-that chain of configurations over rationals for k <= 5.  The two
-lowest buckets hold a single size each (``S_0`` only ``w_1``, ``S_1`` only
-``w_2``), so their order is moot and the fast kernel keeps them as counts.
+step 2 walk it down as needed.
+
+The buckets obey a strong invariant, for every k: at every fusion the
+working bucket ``S_xi`` holds exactly two states, every bucket below it is
+empty and every bucket above it holds at most one.  So no bucket ever
+holds a third state, a fusion always takes its whole bucket, and a run
+ends with every bucket empty.  The proof is an induction over fusions.
+The first fusion follows two fresh draws into ``S_0``.  Assume the
+invariant at a fusion in ``S_xi``; the fusion empties ``S_xi``.
+
+- Failure, or a recycle at ``xi = 0`` (its parts are Bell pairs): step 2
+  walks down through empty buckets and draws two ``w_1``; the next fusion
+  is in ``S_0``.
+- Success at ``xi < k``: ``S_{xi+1}`` held at most one state and now
+  holds at most two.  With two, the next fusion is there, with every
+  bucket below it empty; with one, step 2 walks down to ``S_0`` as above.
+- Recycle at ``xi = 1``: two ``w_1`` enter the empty ``S_0``, where the
+  next fusion is.
+- Recycle at ``xi >= 2``: each part ``w_{n-1}`` lands in ``S_xi`` or
+  ``S_{xi-1}``, since ``2^(xi-1) <= n - 1 < 2^xi``, and both are empty.
+  Both parts in one bucket: the next fusion is there, with every bucket
+  below it empty.  One in each: step 2 walks down to ``S_0``, leaving
+  one state in each.
+
+The test suite checks the invariant at every fusion of the trace, on runs
+at every k up to 8, and on every reachable fusion-time configuration
+through k = 6 (32,064 chain states at k = 6).  It also explores a count
+abstraction, which forgets the sizes and lets each recycled part land in
+either of its two buckets, through k = 12: no bucket gets a third state,
+and exactly the 2^(k+1) - 1 count patterns the invariant allows are
+reached.  The exact oracle, :func:`exact_expected_cost`, solves the chain
+of fusion-time configurations over rationals for k <= 5.  The two lowest
+buckets hold a single size each (``S_0`` only ``w_1``, ``S_1`` only
+``w_2``), so their order is moot and the fast kernel keeps them as
+counts; by the invariant it keeps one slot for each bucket above them.
 
 Randomness comes from the splitmix64 streams in :mod:`wfuse.rng`: a run
 reads 53-bit draws, one per fusion attempt, and run ``i`` of a batch reads
@@ -221,94 +247,102 @@ def run_similar_sizes(
     cached per operand pair.  The two lowest buckets hold a single size
     each, ``S_0`` only ``w_1`` and ``S_1`` only ``w_2``, so the order of
     their states does not matter and they are kept as counts ``c0`` and
-    ``c1``; only ``S_2`` and up are FIFO lists.  The fusions in ``S_0`` and
-    ``S_1`` run in one loop over the draws, one fusion per draw: in ``S_1``
-    when ``c1 >= 2``, else in ``S_0``.  That loop is left only when a
-    success in ``S_1`` moves the pointer to ``S_2``; the fusions above
-    ``S_1`` take their draws with ``next`` until step 2 walks the pointer
-    back below ``S_2``.  :func:`trace_similar_sizes` states the same rules
-    plainly, one attempt at a time.  The test suite asserts the
-    bucket-membership rule, the bound of two states per bucket and the
-    size-index ledger at every step of the trace, and holds this kernel to
-    the trace: identical results, and identical errors at every budget.
+    ``c1``.  By the module's bucket invariant every bucket from ``S_2`` up
+    holds at most one state between fusions, so each has one slot,
+    ``held[l]``, 0 when it is empty.  A state that arrives in ``S_l``, a
+    success's product or a recycled part alike, waits in ``held[l]``, or,
+    if a state waits there already, forms the pair (older first) that
+    fuses next in ``S_l``.  The fusions in ``S_0`` and ``S_1`` run in one
+    loop over the draws, one fusion per draw: in ``S_1`` when ``c1 >= 2``,
+    else in ``S_0``.  A success in ``S_1`` that makes a pair in ``S_2``
+    starts an inner loop over the same draws, which fuses each pair due
+    above ``S_1`` and returns to the outer loop when none is.
+    :func:`trace_similar_sizes` states the same rules plainly, one attempt
+    at a time, with a FIFO list per bucket.  The test suite asserts the
+    bucket-membership rule, the bucket invariant and the size-index
+    ledger at every step of the trace, and holds this kernel to the trace:
+    identical results, and identical errors at every budget.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    # S_2 and up; S_0 and S_1 are the counts c0 and c1, and their lists stay
-    # empty.  Runs with k < 2 end in S_0 or S_1.
-    sets = [[] for _ in range(k + 2)] if k >= 2 else None
+    # held[l] is the state waiting in S_l, l >= 2, or 0 when S_l is empty.
+    # Runs with k < 2 end in S_0 or S_1 and never read it.
+    held = [0] * (k + 1) if k >= 2 else None
     c0 = c1 = 0
     cost = successes = recycles = failures = 0
     draws = islice(draws, max_steps + 1 if max_steps >= 0 else 0)
-    while True:
-        # One fusion per draw in S_0 and S_1.  Step 2 leaves the pointer at
-        # S_1 exactly when it holds two states, and at S_0 otherwise; both
-        # non-success branches in S_0 lose both operands.
-        for u in draws:
-            if c1 < 2:
-                if c0:
-                    c0 -= 2
-                else:  # step 2 at xi = 0
-                    cost += 2
-                if u < _S0_SUCCESS:
-                    successes += 1
-                    if not k:
-                        return _finish(k, max_steps, cost, 2, successes, recycles, failures)
-                    c1 += 1
-                elif u < _S0_RECYCLE:
-                    recycles += 1
-                else:
-                    failures += 1
+    # One fusion per draw in S_0 and S_1.  Step 2 leaves the pointer at S_1
+    # exactly when it holds two states, and at S_0 otherwise; both
+    # non-success branches in S_0 lose both operands.
+    for u in draws:
+        if c1 < 2:
+            if c0:
+                c0 -= 2
+            else:  # step 2 at xi = 0
+                cost += 2
+            if u < _S0_SUCCESS:
+                successes += 1
+                if not k:
+                    return _finish(k, max_steps, cost, 2, successes, recycles, failures)
+                c1 += 1
+            elif u < _S0_RECYCLE:
+                recycles += 1
             else:
-                # Fuse (w_2, w_2) in S_1; a recyclable outcome leaves two w_1.
-                c1 -= 2
-                if u < _S1_SUCCESS:
-                    successes += 1
-                    if k == 1:
-                        return _finish(k, max_steps, cost, 4, successes, recycles, failures)
-                    sets[2].append(4)
-                    break
-                if u < _S1_RECYCLE:
-                    recycles += 1
-                    c0 += 2
-                else:
-                    failures += 1
+                failures += 1
         else:
-            break  # the draws ran out
-        # S_2 and up, from S_2 until step 2 walks the pointer below it.
-        xi = 2
-        try:
-            while xi > 1:
-                bucket = sets[xi]
-                if len(bucket) < 2:  # step 2 above S_1
-                    xi -= 1
+            # Fuse (w_2, w_2) in S_1; a recyclable outcome leaves two w_1.
+            c1 -= 2
+            if u < _S1_SUCCESS:
+                successes += 1
+                if k == 1:
+                    return _finish(k, max_steps, cost, 4, successes, recycles, failures)
+                # w_4 arrives in S_2: it waits there, or pairs with the
+                # state waiting there.
+                n = held[2]
+                if not n:
+                    held[2] = 4
                     continue
-                n = bucket.pop(0)
-                m = bucket.pop(0)
-                success, recycle = _edges53(n, m)
-                u = next(draws)
-                if u < success:
-                    successes += 1
-                    if xi == k:
-                        return _finish(k, max_steps, cost, n + m, successes, recycles, failures)
-                    sets[xi + 1].append(n + m)
-                    xi += 1
-                elif u < recycle:
-                    recycles += 1
-                    # n, m >= 3 here, so a part w_{n-1} is w_2, counted in
-                    # S_1, or lands in S_2 and up.
-                    if n == 3:
-                        c1 += 1
+                held[2] = 0
+                xi, m = 2, 4
+                # Fuse (w_n, w_m) in S_xi, and then each pair an outcome
+                # makes, until none is due and step 2 walks the pointer
+                # below S_2.
+                for u in draws:
+                    success, recycle = _edges53(n, m)
+                    if u < success:
+                        successes += 1
+                        m += n
+                        if xi == k:
+                            return _finish(k, max_steps, cost, m, successes, recycles, failures)
+                        xi += 1
+                    elif u < recycle:
+                        recycles += 1
+                        # n, m >= 3 here, so a part w_{n-1} is w_2, counted
+                        # in S_1, or lands in S_xi or S_{xi-1}, both empty.
+                        if n == 3:
+                            c1 += 1
+                        else:
+                            held[(n - 2).bit_length()] = n - 1
+                        if m == 3:
+                            c1 += 1
+                            break
+                        m -= 1
+                        xi = (m - 1).bit_length()
                     else:
-                        sets[(n - 2).bit_length()].append(n - 1)
-                    if m == 3:
-                        c1 += 1
-                    else:
-                        sets[(m - 2).bit_length()].append(m - 1)
-                else:
-                    failures += 1
-        except StopIteration:  # next(draws): the draws ran out
-            break
+                        failures += 1
+                        break
+                    # w_m arrives in S_xi: it waits there, or pairs with the
+                    # older state waiting there.
+                    n = held[xi]
+                    if not n:
+                        held[xi] = m
+                        break
+                    held[xi] = 0
+            elif u < _S1_RECYCLE:
+                recycles += 1
+                c0 += 2
+            else:
+                failures += 1
     raise _budget_error(max_steps, k)
 
 
@@ -433,6 +467,10 @@ def _make_parts(ranges, pipe_fd):
     """
     status = 1
     try:
+        import signal  # loaded already by _forked_parts
+
+        # _forked_parts blocked SIGINT across the fork.
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, (signal.SIGINT,))
         low = 0
         for fd in sorted({2, pipe_fd}):
             os.closerange(low, fd)
@@ -495,23 +533,29 @@ def _forked_parts(k, master_seed, runs, step, workers):
     A pipe or fork that fails raises a ``RuntimeError`` that says a worker
     could not be started.  Every worker is reaped before the generator
     ends.  When it ends by an error, or is closed before its last part, the
-    workers are killed first.
+    workers are killed first.  SIGINT is blocked from each fork until the
+    worker's pid is recorded, so a Ctrl-C during a fork kills and reaps
+    that worker too.
     """
+    import signal  # only here: a batch without workers never loads it
+
     pipes, pids = [], []
     try:
         for w in range(workers):
             try:
                 read_fd, write_fd = os.pipe()
                 pipes.append(open(read_fd, "rb"))
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT,))
                 try:
                     pid = os.fork()
                     if not pid:
                         _make_parts(_ranges(k, master_seed, runs, step, w, workers), write_fd)
+                    pids.append(pid)  # only the parent gets here
                 finally:
-                    os.close(write_fd)  # only the parent gets here
+                    os.close(write_fd)
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             except OSError as exc:
                 raise RuntimeError(f"cannot start a worker process: {exc.strerror}") from exc
-            pids.append(pid)
         for i in range(len(range(0, runs, step))):
             part = _read_part(pipes[i % workers])
             if part is None:
@@ -523,8 +567,6 @@ def _forked_parts(k, master_seed, runs, step, workers):
             if status := _reap(pids, w):
                 raise RuntimeError(f"a worker process ended with exit status {status}")
     except BaseException:
-        import signal  # only here: a batch that succeeds never loads it
-
         for pid in pids:
             if pid is not None:
                 os.kill(pid, signal.SIGKILL)

@@ -1171,7 +1171,8 @@ class TestStartup:
             " '--workers', '2', '--out', os.devnull])"
         )
         assert "wfuse.simulate" in added
-        assert not added & {"concurrent.futures", "multiprocessing", "signal", "struct"}
+        # signal is loaded: each fork blocks SIGINT until its pid is recorded.
+        assert not added & {"concurrent.futures", "multiprocessing", "struct"}
 
     def test_simulate_import_loads_no_other_layers(self):
         added = self.modules_added_by("from wfuse.simulate import exact_expected_cost")

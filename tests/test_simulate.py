@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import signal
 import statistics
 import time
 import tracemalloc
@@ -47,6 +48,7 @@ from wfuse.simulate import (
     FusionStep,
     _expected_draws,
     _fusion_chain,
+    _settle,
     RunResult,
     _sample_std,
     bucket_index,
@@ -348,26 +350,38 @@ class TestSimilarSizesRuns:
 def assert_invariants_and_kernel(k, stream):
     """Check one run's trace step by step, then the kernel against it.
 
-    Along the trace on the draws of ``stream``, every bucket holds at most
-    two states, all of its own sizes, and the size-index ledger balances:
+    Along the trace on the draws of ``stream``, every fusion meets the
+    bucket invariant: its bucket holds exactly its two operands, every
+    bucket below it is empty and every bucket above it holds at most one
+    state.  Between fusions step 2 only adds states, so no bucket ever
+    holds more than two.  Every bucket holds only its own sizes, the run
+    ends with every bucket empty, and the size-index ledger balances:
     draws add 1 each, success conserves, recycle loses 2 (Bell-pair
-    discards included) and failure loses ``n + m``.  The kernel on the same
-    draws must then return the folded trace at the tightest budget the run
-    fits, and raise the budget error at one less.
+    discards included) and failure loses ``n + m``.  The kernel on the
+    same draws must then return the folded trace at the tightest budget
+    the run fits, and raise the budget error at one less.
     """
     counts = dict.fromkeys(BRANCHES, 0)
     failure_loss = 0
+    buckets, xi = [[] for _ in range(k + 2)], 0
     for step in trace_similar_sizes(k, stream):
+        # The buckets at this fusion: the last step's, after step 2.
+        _, xi = _settle(buckets, xi)
+        assert (xi, buckets[xi]) == (step.level, [step.n, step.m])
+        assert not any(buckets[:xi])
+        assert all(len(bucket) <= 1 for bucket in buckets[xi + 1:])
         counts[step.branch] += 1
         if step.branch == FAILURE:
             failure_loss += step.n + step.m
         for level, bucket in enumerate(step.buckets):
-            assert len(bucket) <= 2
             assert all(bucket_index(size) == level for size in bucket)
         remaining = sum(map(sum, step.buckets))
         assert step.cost == (
             remaining + (step.final or 0) + 2 * counts[RECYCLE] + failure_loss
         )
+        buckets = list(map(list, step.buckets))
+        xi += step.branch == SUCCESS
+    assert not any(step.buckets)
     fold = RunResult(step.cost, step.final, sum(counts.values()), *counts.values())
     tight = fold.cost + fold.fusion_attempts - 1
     assert run_similar_sizes(k, stream, max_steps=tight) == fold
@@ -596,6 +610,23 @@ class TestBatches:
         assert_no_child_process()
         assert seen == [100, 100, 100]
 
+    def test_ctrl_c_during_a_fork_ends_the_worker(self, monkeypatch):
+        # SIGINT reaches the parent just after a real fork returns, before
+        # the worker's pid can be recorded: the worker must still be killed
+        # and reaped (the no_child_process_left fixture).
+        fork = os.fork
+
+        def interrupted_fork():
+            pid = fork()
+            if pid:
+                os.kill(os.getpid(), signal.SIGINT)
+            return pid
+
+        monkeypatch.setattr(os, "fork", interrupted_fork)
+        with pytest.raises(KeyboardInterrupt):
+            simulate_batch(0, 1600, 3, workers=2)
+        assert_no_child_process()
+
     def test_without_fork_the_batch_runs_in_process(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
         assert run_batch(2, 97, 55, workers=2) == run_batch(2, 97, 55, workers=1)
@@ -688,19 +719,21 @@ class TestExactChainOracle:
         with pytest.raises(ValueError):
             exact_expected_cost(-1)
 
-    def test_at_most_two_states_per_bucket_through_k6(self):
-        # The bound the module docstring states, on every reachable
-        # fusion-time configuration: no solve, the k = 6 build takes about
-        # a second.
+    def test_bucket_invariant_on_every_chain_state_through_k6(self):
+        # The invariant the module docstring proves, on every reachable
+        # fusion-time configuration: the working bucket holds exactly two
+        # states, every bucket below it none and every bucket above it at
+        # most one.  No solve; the k = 6 build takes about a second.
         chain_sizes = []
         for k in range(7):
             _, states, transitions = _fusion_chain(k)
             assert len(transitions) == len(states)
             chain_sizes.append(len(states))
             for buckets, xi in states:
-                assert len(buckets[xi]) >= 2
+                assert len(buckets[xi]) == 2, (k, buckets, xi)
+                assert not any(buckets[:xi]), (k, buckets, xi)
+                assert all(len(sizes) <= 1 for sizes in buckets[xi + 1:]), (k, buckets, xi)
                 for level, sizes in enumerate(buckets):
-                    assert len(sizes) <= 2, (k, buckets)
                     assert all(bucket_index(size) == level for size in sizes)
         assert chain_sizes == [1, 3, 8, 32, 192, 1856, 32064]
 
@@ -732,6 +765,70 @@ class TestExactChainOracle:
         stats = simulate_batch(k, CALIBRATION_RUNS[k], 2024)
         exact = float(oracle(k))
         assert abs(stats.mean - exact) < 4 * stats.stderr
+
+
+def count_patterns(k):
+    """The fusion-time count patterns ``(counts, xi)`` that the count
+    abstraction of the similar-sizes strategy reaches at target ``k``.
+
+    The abstraction keeps only how many states each bucket holds.  A fusion
+    in ``S_xi`` takes two of them.  A success below ``S_k`` adds one to
+    ``S_{xi+1}``, a recycle in ``S_1`` adds two to ``S_0``, and a recycle
+    in ``S_xi``, ``xi >= 2``, adds each part to ``S_xi`` or ``S_{xi-1}``,
+    in all four ways, since a part's bucket depends on the forgotten size.
+    Step 2 is the strategy's.  So every run's bucket counts follow one of
+    the abstraction's paths.  No bucket may ever get a third state.
+    """
+
+    def settle(counts, xi):
+        while counts[xi] < 2:
+            if xi:
+                xi -= 1
+            else:
+                counts[0] += 1
+        return tuple(counts), xi
+
+    def add(counts, levels):
+        counts = list(counts)
+        for level in levels:
+            counts[level] += 1
+        assert max(counts) <= 2, (counts, levels)
+        return counts
+
+    start = settle([0] * (k + 1), 0)
+    seen = {start}
+    todo = [start]
+    while todo:
+        counts, xi = todo.pop()
+        after = list(counts)
+        after[xi] -= 2
+        moves = [(after, xi)]  # a failure, or a recycle in S_0
+        if xi < k:
+            moves.append((add(after, [xi + 1]), xi + 1))
+        if xi == 1:
+            moves.append((add(after, [0, 0]), xi))
+        elif xi >= 2:
+            moves += [(add(after, parts), xi) for parts in product((xi - 1, xi), repeat=2)]
+        for after, level in moves:
+            state = settle(after, level)
+            if state not in seen:
+                seen.add(state)
+                todo.append(state)
+    return seen
+
+
+class TestBucketInvariant:
+    @pytest.mark.parametrize("k", range(13))
+    def test_count_abstraction_reaches_exactly_the_invariant_patterns(self, k):
+        # The patterns the invariant allows: S_xi holds two, every bucket
+        # below it none and every bucket above it none or one, 2^(k-xi)
+        # patterns for each xi.  The abstraction reaches only those, and
+        # all of them.  About 0.06 s at k = 12.
+        patterns = count_patterns(k)
+        for counts, xi in patterns:
+            assert counts[xi] == 2 and not any(counts[:xi]), (counts, xi)
+            assert max(counts[xi + 1:], default=0) <= 1, (counts, xi)
+        assert len(patterns) == 2 ** (k + 1) - 1
 
 
 def branch_draws(n, m):
