@@ -27,9 +27,12 @@ normalization (a W state puts amplitude 1 on each weight-one label), and
 every map the gate applies has integer coefficients, so each branch keeps
 integer amplitudes for W inputs.  Probabilities and fidelities are ratios
 of squared norms and squared overlaps, and no value is ever normalized by
-a square root.  One integer core computes the branch amplitude maps and
-their squared norms: :func:`verify_weights` returns its ratios as
-``(num, den)`` pairs of ints, which is what ``wfuse verify-gate`` prints
+a square root.  One detector table states the gate's law: it maps each
+of the six detector patterns (D1 alone, D2 alone and the four
+coincidences of :data:`COINCIDENCE_PATTERNS`) to the amplitude map it
+leaves and its probability as an integer ``(num, den)`` pair, and the
+branch probabilities are read from it.  :func:`verify_weights` returns
+its ratios as such pairs, which is what ``wfuse verify-gate`` prints
 from, and :func:`fuse`, :func:`fidelity` and :func:`verify_probabilities`
 return them as ``Fraction`` values.
 """
@@ -187,29 +190,51 @@ def _combine(x: Amplitudes, y: Amplitudes, sign: int) -> Amplitudes:
 
 
 def _branch_maps(a: SparseState, b: SparseState) -> tuple:
-    """The gate's integer core: its branch amplitude maps on the last
-    photons of ``a`` and ``b``, and their squared norms.
+    """The gate's detector table on the last photons of ``a`` and ``b``.
 
-    Returns ``(a_h, b_h, maps, norms)``: the parts of ``a`` and ``b`` whose
-    consumed photon is H; the maps of the V,V branch, the H,H branch and
-    the symmetric and antisymmetric combinations of the H,V and V,H
-    branches, in that order; and the four squared norms.  The H,V and V,H
-    branches together weigh half the sum of the last two squared norms
-    (the parallelogram law).
+    Returns ``(a_h, b_h, table)``: the parts of ``a`` and ``b`` whose
+    consumed photon is H, and a dict that maps each detector pattern, in
+    report order (D1 alone, D2 alone, then :data:`COINCIDENCE_PATTERNS`),
+    to the pair ``(amplitude map, (num, den))`` of the branch it leaves
+    and its probability.  D1 alone leaves the V,V branch and D2 alone the
+    H,H branch.  The equal coincidence patterns share one map, the
+    symmetric combination of the H,V and V,H branches, and one
+    probability; the mixed ones share the antisymmetric combination.  Each
+    coincidence projects with amplitude 1/2, so the four share the
+    denominator ``4 |a|^2 |b|^2``, and together they weigh what the H,V
+    and V,H branches weigh (the parallelogram law).
     """
     a_h, a_v = _split_last_photon(a)
     b_h, b_v = _split_last_photon(b)
     hv = _tensor(a_h, b_v)
     vh = _tensor(a_v, b_h)
+    norm2 = a._norm2 * b._norm2
     # |H>_3|H>_4 spreads evenly over all four D/Dbar patterns;
     # |V>_3|V>_4 does too but with a minus sign on the mixed ones.
-    maps = (
-        _tensor(a_v, b_v),
-        _tensor(a_h, b_h),
-        _combine(hv, vh, +1),
-        _combine(hv, vh, -1),
+    vv, hh, symmetric, antisymmetric = (
+        (amps, (_norm2(amps), scale * norm2))
+        for amps, scale in (
+            (_tensor(a_v, b_v), 1),
+            (_tensor(a_h, b_h), 1),
+            (_combine(hv, vh, +1), 4),
+            (_combine(hv, vh, -1), 4),
+        )
     )
-    return a_h, b_h, maps, tuple(map(_norm2, maps))
+    # COINCIDENCE_PATTERNS lists the equal patterns first.
+    entries = (vv, hh, symmetric, symmetric, antisymmetric, antisymmetric)
+    return a_h, b_h, dict(zip((D1_ONLY, D2_ONLY, *COINCIDENCE_PATTERNS), entries))
+
+
+def _branch_ratios(table: dict) -> dict:
+    """The branch probabilities of a detector table as ``(num, den)``
+    pairs: success is every coincidence, recycle D2 alone and failure D1
+    alone.  The coincidences share one denominator."""
+    coincidences = [table[pattern][1] for pattern in COINCIDENCE_PATTERNS]
+    return {
+        SUCCESS: (sum(num for num, _ in coincidences), coincidences[0][1]),
+        RECYCLE: table[D2_ONLY][1],
+        FAILURE: table[D1_ONLY][1],
+    }
 
 
 class GateReport(
@@ -260,43 +285,27 @@ def fuse(a: SparseState, b: SparseState) -> GateReport:
 
     if a is b:
         raise ValueError("cannot fuse a state with itself")
-    a_h, b_h, maps, norms = _branch_maps(a, b)
-    (vv, hh, symmetric, antisymmetric), (vv2, hh2, sym2, anti2) = maps, norms
-
-    norm2 = a._norm2 * b._norm2
-    quarter_sym = Fraction(sym2, 4 * norm2)
-    quarter_anti = Fraction(anti2, 4 * norm2)
-    breakdown = {
-        D1_ONLY: Fraction(vv2, norm2),
-        D2_ONLY: Fraction(hh2, norm2),
-        "dd": quarter_sym,
-        "dbar_dbar": quarter_sym,
-        "d_dbar": quarter_anti,
-        "dbar_d": quarter_anti,
-    }
-    sym_state = _post_state(symmetric)
-    anti_state = _post_state(antisymmetric)
-    pattern_states = {
-        D1_ONLY: _post_state(vv),
-        D2_ONLY: _post_state(hh),
-        "dd": sym_state,
-        "dbar_dbar": sym_state,
-        "d_dbar": anti_state,
-        "dbar_d": anti_state,
-    }
+    a_h, b_h, table = _branch_maps(a, b)
+    # Patterns that share a map share its state.
+    maps = {id(amps): amps for amps, _ in table.values()}
+    states = {key: _post_state(amps) for key, amps in maps.items()}
+    pattern_states = {pattern: states[id(amps)] for pattern, (amps, _) in table.items()}
+    ratios = _branch_ratios(table)
 
     left = _post_state(a_h)
     right = _post_state(b_h)
     recycle_states = (left, right) if left is not None and right is not None else None
 
     return GateReport(
-        p_success=Fraction(sym2 + anti2, 2 * norm2),
-        p_recycle=breakdown[D2_ONLY],
-        p_failure=breakdown[D1_ONLY],
-        post_success_state=sym_state,
+        p_success=Fraction(*ratios[SUCCESS]),
+        p_recycle=Fraction(*ratios[RECYCLE]),
+        p_failure=Fraction(*ratios[FAILURE]),
+        post_success_state=pattern_states[COINCIDENCE_PATTERNS[0]],
         post_recycle_states=recycle_states,
         post_failure_state=pattern_states[D1_ONLY],
-        detector_breakdown=breakdown,
+        detector_breakdown={
+            pattern: Fraction(*ratio) for pattern, (_, ratio) in table.items()
+        },
         pattern_states=pattern_states,
     )
 
@@ -337,26 +346,22 @@ def verify_weights(n_photons: int, m_photons: int) -> tuple:
     below 2 raises ``ValueError`` from :func:`make_w_state`.
     """
     a, b = make_w_state(n_photons), make_w_state(m_photons)
-    a_h, b_h, (vv, _, symmetric, _), (vv2, hh2, sym2, anti2) = _branch_maps(a, b)
+    a_h, b_h, table = _branch_maps(a, b)
     success, recyclable, total = outcome_weights(n_photons - 2, m_photons - 2)
-    norm2 = a._norm2 * b._norm2
     analytic = {
         SUCCESS: (success, total),
         RECYCLE: (recyclable, total),
         FAILURE: (1, total),
     }
-    simulated = {
-        SUCCESS: (sym2 + anti2, 2 * norm2),
-        RECYCLE: (hh2, norm2),
-        FAILURE: (vv2, norm2),
-    }
+    simulated = _branch_ratios(table)
     merged = n_photons + m_photons - 2
     left = _fidelity_weights(a_h, _w_amplitudes(n_photons - 1))
     right = _fidelity_weights(b_h, _w_amplitudes(m_photons - 1))
+    success_map = table[COINCIDENCE_PATTERNS[0]][0]
     fidelities = {
-        SUCCESS: _fidelity_weights(symmetric, _w_amplitudes(merged)),
+        SUCCESS: _fidelity_weights(success_map, _w_amplitudes(merged)),
         RECYCLE: right if right[0] * left[1] < left[0] * right[1] else left,
-        FAILURE: _fidelity_weights(vv, {"H" * merged: 1}),
+        FAILURE: _fidelity_weights(table[D1_ONLY][0], {"H" * merged: 1}),
     }
     return analytic, simulated, fidelities
 

@@ -99,13 +99,7 @@ _RANGE_CHUNK = 256
 
 def mix64(x: int) -> int:
     """64-bit xor-shift-multiply finalizer (the splitmix64 mixer)."""
-    x &= MASK64
-    x ^= x >> 30
-    x = (x * _MIX_A) & MASK64
-    x ^= x >> 27
-    x = (x * _MIX_B) & MASK64
-    x ^= x >> 31
-    return x
+    return _mix_lanes(x & MASK64, MASK64)
 
 
 def _mix_lanes(x: int, mask64: int) -> int:

@@ -616,7 +616,9 @@ def simulate_batch(
     workers = min(workers, runs)
     if workers > 1 and hasattr(os, "fork"):
         # The same number of ranges per worker, at least eight, all of one
-        # size but the last, so that the workers finish together.
+        # size but the last, so each worker makes the same number of runs
+        # but for that short last range.  Equal run counts do not make the
+        # workers finish together; ROADMAP item 12 has them claim ranges.
         ranges = workers * max(8, -(-runs // (workers * _RANGE_CAP)))
         parts = _forked_parts(k, master_seed, runs, -(-runs // ranges), workers)
     else:

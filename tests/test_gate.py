@@ -147,6 +147,20 @@ class TestFuseOnWStates:
         overlap = fidelity(raw_mixed, make_w_state(merged))
         assert overlap == Fraction(n - m, merged) ** 2
 
+    def test_patterns_in_report_order(self):
+        order = ["d1_only", "d2_only", *COINCIDENCE_PATTERNS]
+        for n, m in ((2, 2), (3, 5), (6, 4)):
+            report = fuse(make_w_state(n), make_w_state(m))
+            assert list(report.detector_breakdown) == order
+            assert list(report.pattern_states) == order
+
+    def test_patterns_with_one_map_share_one_state(self):
+        report = fuse(make_w_state(3), make_w_state(5))
+        states = report.pattern_states
+        assert states["dd"] is states["dbar_dbar"] is report.post_success_state
+        assert states["d_dbar"] is states["dbar_d"]
+        assert states["d1_only"] is report.post_failure_state
+
     def test_mixed_pattern_orthogonal_for_equal_sizes(self):
         report = fuse(make_w_state(4), make_w_state(4))
         assert fidelity(report.pattern_states["dbar_d"], make_w_state(6)) == 0
@@ -191,6 +205,13 @@ class TestVerifyProbabilities:
                 }
                 assert check.simulated == check.analytic
                 assert all(value == 1 for value in check.fidelities.values())
+                report = fuse(make_w_state(n), make_w_state(m))
+                _, simulated, _ = verify_weights(n, m)
+                assert {
+                    "success": report.p_success,
+                    "recycle": report.p_recycle,
+                    "failure": report.p_failure,
+                } == {branch: Fraction(*ratio) for branch, ratio in simulated.items()}
 
     def test_rejects_tiny_states(self):
         with pytest.raises(ValueError):
