@@ -26,7 +26,9 @@ opens its outputs and only then computes.  A command whose batch or write
 fails removes the regular files it opened (``--out`` and ``--dump-runs``,
 never a device such as /dev/null; through a symlink, its target) and
 exits 1; an interrupted command removes them too and exits 130; an output
-that cannot be opened exits 2 and removes nothing.
+that cannot be opened exits 2 and removes nothing.  Write errors are
+converted where the output was opened: ``_output`` raises an ``OSError``
+of its block as the ``RuntimeError`` that names that output.
 """
 
 from __future__ import annotations
@@ -127,50 +129,36 @@ class _OutputError(Exception):
 _opened: list[str] = []
 
 
-def _open_output(path: str):
-    try:
-        handle = open(path, "w", newline="")
-    except OSError as exc:
-        raise _OutputError(f"cannot write {path}: {exc.strerror}") from None
-    # Through a symlink, the file written is the link's target.
-    _opened.append(os.path.realpath(path))
-    return handle
-
-
-@contextmanager
-def _writing(handle):
-    """Raise an ``OSError`` of the body, such as a full disk or a pipe
-    whose reader has gone, as a ``RuntimeError``.
-
-    When ``handle`` is stdout, stdout is first pointed at ``os.devnull``,
-    so that the flush at exit does not fail again on the text left in its
-    buffer.
-    """
-    try:
-        yield
-    except OSError as exc:
-        if handle is sys.stdout:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-        raise RuntimeError(f"cannot write {handle.name}: {exc.strerror}") from None
-
-
 @contextmanager
 def _output(path: Optional[str]):
     """An open handle on ``path``, or stdout when ``path`` is None, flushed
-    or closed on leaving.  An empty path cannot be opened, like any other
-    path that names no file."""
+    when the block ends normally; a file is closed in every case.  An empty
+    path cannot be opened, like any other path that names no file.
+
+    Write errors are converted here, where the output was opened: an
+    ``OSError`` that escapes the block or the closing, such as a full disk
+    or a pipe whose reader has gone, is raised as a ``RuntimeError`` naming
+    this output.  When the output is stdout, stdout is first pointed at
+    ``os.devnull``, so that the flush at exit does not fail again on the
+    text left in its buffer.
+    """
     if path is None:
-        yield sys.stdout
-        with _writing(sys.stdout):
-            sys.stdout.flush()
-        return
-    handle = _open_output(path)
+        handle = sys.stdout
+    else:
+        try:
+            handle = open(path, "w", newline="")
+        except OSError as exc:
+            raise _OutputError(f"cannot write {path}: {exc.strerror}") from None
+        # Through a symlink, the file written is the link's target.
+        _opened.append(os.path.realpath(path))
     try:
-        yield handle
-    finally:
-        with _writing(handle):
-            handle.close()
+        with nullcontext() if path is None else handle:
+            yield handle
+            handle.flush()
+    except OSError as exc:
+        if path is None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), handle.fileno())
+        raise RuntimeError(f"cannot write {handle.name}: {exc.strerror}") from None
 
 
 def _json_lines(header: tuple, rows: Iterable[tuple]) -> Iterator[str]:
@@ -202,8 +190,7 @@ def _write_rows(header: tuple, rows: Iterable[tuple], fmt: str, handle) -> None:
     writes at least one row.
     """
     lines = _csv_lines if fmt == "csv" else _json_lines
-    with _writing(handle):
-        handle.writelines(lines(header, rows))
+    handle.writelines(lines(header, rows))
 
 
 def _print_error(message) -> None:
@@ -292,14 +279,12 @@ def _write_dump(handle, start, costs, final_sizes) -> None:
 def _dump_writer(handle):
     """Write the `--dump-runs` header to ``handle``; return the
     ``simulate_batch`` part callback that writes each part's rows."""
-    # The header only fills the new file's buffer, so it cannot fail here.
     handle.write("run,cost,final_N\n")
     start = 0
 
     def write_part(costs, final_sizes):
         nonlocal start
-        with _writing(handle):
-            _write_dump(handle, start, costs, final_sizes)
+        _write_dump(handle, start, costs, final_sizes)
         start += len(costs)
 
     return write_part
@@ -320,35 +305,36 @@ def _batch_flags_error(stage_flag: str, stage: int, args) -> Optional[str]:
 def _cmd_simulate(args) -> int:
     if error := _batch_flags_error("--k", args.k, args):
         return _usage_error(error)
-    if args.out and args.dump_runs:
-        path = os.path.realpath(args.out)
-        same = path == os.path.realpath(args.dump_runs)
-        # A hard link is one file under another real path; a path that does
-        # not exist yet has no file to compare.
-        with suppress(OSError):
-            same = same or os.path.samefile(path, args.dump_runs)
-        # Both are open at once below, and two handles on one file would
-        # overwrite each other; two on a device such as /dev/null cannot.
-        if same and (os.path.isfile(path) or not os.path.exists(path)):
-            return _usage_error("--out and --dump-runs must be different files")
+    if args.dump_runs:
+        # The dump is open beside --out, or beside stdout without --out, and
+        # two handles on one file would overwrite each other; two on a
+        # device such as /dev/null or a pipe cannot.  A hard link is one file
+        # under another real path; paths that do not exist yet are one file
+        # when their real paths are equal.  A stdout with no file descriptor
+        # raises io.UnsupportedOperation, an OSError.
+        try:
+            dump = os.stat(args.dump_runs)
+            other = os.fstat(sys.stdout.fileno()) if args.out is None else os.stat(args.out)
+            same = os.path.samestat(dump, other) and os.path.isfile(args.dump_runs)
+        except OSError:
+            same = args.out and os.path.realpath(args.out) == os.path.realpath(args.dump_runs)
+        if same:
+            first = "stdout" if args.out is None else "--out"
+            return _usage_error(f"{first} and --dump-runs must be different files")
     # Both paths are opened before the batch, --out first, so an unwritable
     # --out leaves no dump behind (an unwritable dump path leaves --out
     # empty).  The dump is written part by part as the batch makes it, and
-    # flushed before the summary row is written, so a dump that fails to
+    # closed before the summary row is written, so a dump that fails to
     # write leaves no summary.
-    with _output(args.out) as out, (
-        _output(args.dump_runs) if args.dump_runs is not None else nullcontext()
-    ) as dump:
-        stats = simulate_batch(
-            args.k,
-            args.runs,
-            args.seed,
-            workers=_worker_processes(args.workers),
-            on_part=_dump_writer(dump) if dump is not None else None,
-        )
-        if dump is not None:
-            with _writing(dump):
-                dump.flush()
+    with _output(args.out) as out:
+        with _output(args.dump_runs) if args.dump_runs is not None else nullcontext() as dump:
+            stats = simulate_batch(
+                args.k,
+                args.runs,
+                args.seed,
+                workers=_worker_processes(args.workers),
+                on_part=_dump_writer(dump) if dump is not None else None,
+            )
         # The fields of BatchStats after k are the columns after nominal_N.
         row = (stats.k, 2**stats.k + 3, *stats[1:])
         _write_rows(_SIMULATE_HEADER, [row], args.format, out)

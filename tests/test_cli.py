@@ -858,6 +858,9 @@ needs_dev_full = pytest.mark.skipif(
     not os.path.exists(DEV_FULL), reason="no /dev/full device on this system"
 )
 FULL_ERROR = "wfuse: error: cannot write /dev/full: No space left on device\n"
+needs_dev_stdout = pytest.mark.skipif(
+    not os.path.exists("/dev/stdout"), reason="no /dev/stdout on this system"
+)
 
 
 def module_env():
@@ -928,6 +931,21 @@ class TestWriteErrors:
             done = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE, env=module_env())
         assert done.returncode == 1
         assert done.stderr == b"wfuse: error: cannot write <stdout>: No space left on device\n"
+
+    @needs_dev_full
+    def test_full_stdout_removes_the_closed_dump(self, tmp_path):
+        # The dump is written and closed before the summary fails on
+        # stdout; the failed command still leaves no dump.
+        dump = tmp_path / "d.csv"
+        cmd = [
+            sys.executable, "-m", "wfuse", "simulate", "--k", "0", "--runs", "10",
+            "--seed", "1", "--dump-runs", str(dump),
+        ]
+        with open(DEV_FULL, "wb") as full:
+            done = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE, env=module_env())
+        assert done.returncode == 1
+        assert done.stderr == b"wfuse: error: cannot write <stdout>: No space left on device\n"
+        assert not dump.exists()
 
     @needs_dev_full
     @pytest.mark.parametrize(
@@ -1125,6 +1143,45 @@ class TestOutputPaths:
         assert captured.err == (
             f"wfuse: error: cannot write {path}: No such file or directory\n"
         )
+
+
+    # Without --out the summary goes to stdout, which the shell may have
+    # pointed at the dump's own file: the summary would overwrite the dump.
+    @pytest.mark.parametrize(
+        "dump_path",
+        [None, pytest.param("/dev/stdout", marks=needs_dev_stdout)],
+        ids=["same-path", "dev-stdout"],
+    )
+    def test_dump_on_stdout_file_is_usage_error(self, tmp_path, dump_path):
+        path = tmp_path / "o.csv"
+        cmd = [
+            sys.executable, "-m", "wfuse", "simulate", "--k", "0", "--runs", "50",
+            "--seed", "1", "--dump-runs", dump_path or str(path),
+        ]
+        with open(path, "wb") as out:
+            done = subprocess.run(cmd, stdout=out, stderr=subprocess.PIPE, env=module_env())
+        assert done.returncode == 2
+        assert done.stderr == b"wfuse: error: stdout and --dump-runs must be different files\n"
+        assert path.read_bytes() == b""
+
+    @needs_dev_stdout
+    def test_dump_on_stdout_pipe(self, tmp_path):
+        # A pipe is no file to overwrite: the dump comes first, then the
+        # summary row.
+        argv = ["simulate", "--k", "0", "--runs", "50", "--seed", "1"]
+        dump = tmp_path / "d.csv"
+        summary = subprocess.run(
+            [sys.executable, "-m", "wfuse", *argv, "--dump-runs", str(dump)],
+            capture_output=True, env=module_env(), check=True,
+        ).stdout
+        done = subprocess.run(
+            [sys.executable, "-m", "wfuse", *argv, "--dump-runs", "/dev/stdout"],
+            capture_output=True, env=module_env(),
+        )
+        assert done.returncode == 0
+        assert done.stderr == b""
+        assert done.stdout == dump.read_bytes() + summary
+        assert len(done.stdout.splitlines()) == 53
 
 
 class TestSubprocessDeterminism:

@@ -1,5 +1,9 @@
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -56,3 +60,34 @@ class TestCodeLines:
         assert code_lines.main([str(path), f"{path}::C.g"]) == 0
         counts = [line.split()[-1] for line in capsys.readouterr().out.splitlines()]
         assert counts == ["11", "2", "13"]
+
+    @pytest.mark.parametrize(
+        "name, content, message",
+        [
+            ("nope.py", None, "cannot read {path}: No such file or directory"),
+            ("folder", "dir", "cannot read {path}: Is a directory"),
+            ("bad.py", b"def f(:\n", "cannot parse {path}: invalid syntax"),
+            ("latin.py", b"x = '\xe9'\n", "cannot parse {path}: 'utf-8' codec"),
+            ("null.py", b"x = 1\0\n", "cannot parse {path}: source code"),
+        ],
+        ids=["missing", "directory", "syntax", "not-utf8", "null-byte"],
+    )
+    def test_unusable_file_exits_one_with_one_line(self, tmp_path, name, content, message):
+        path = tmp_path / name
+        if content == "dir":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        cmd = [sys.executable, str(TOOLS / "code_lines.py"), str(path)]
+        done = subprocess.run(cmd, capture_output=True, text=True)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("code_lines: " + message.format(path=path))
+        assert done.stderr.count("\n") == 1
+
+    def test_missing_definition_exits_one_with_one_line(self, tmp_path):
+        path = tmp_path / "snippet.py"
+        path.write_text(SNIPPET)
+        with pytest.raises(SystemExit) as exc:
+            load("code_lines").main([f"{path}::g"])
+        assert exc.value.code == "code_lines: no definition 'g'"

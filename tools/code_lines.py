@@ -15,6 +15,8 @@ Usage::
 An argument ``FILE::NAME`` counts only the lines of the function or class
 ``NAME`` (dotted for a method, as in ``Class.method``), its decorators
 included.  The script prints one line per argument and then the total.
+A file that cannot be read or parsed, like a missing ``NAME``, ends it
+with one line on stderr and exit status 1.
 """
 
 from __future__ import annotations
@@ -70,9 +72,14 @@ def _span(source: str, name: str) -> range:
 def count(target: str) -> int:
     """The code lines of ``FILE`` or of ``FILE::NAME``."""
     path, _, name = target.partition("::")
-    with open(path, encoding="utf-8") as handle:
-        source = handle.read()
-    lines = code_lines(source)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            source = handle.read()
+        lines = code_lines(source)
+    except OSError as exc:
+        raise SystemExit(f"code_lines: cannot read {path}: {exc.strerror}") from None
+    except (SyntaxError, ValueError) as exc:  # ValueError: not UTF-8, or a null byte
+        raise SystemExit(f"code_lines: cannot parse {path}: {exc}") from None
     if name:
         lines &= set(_span(source, name))
     return len(lines)
